@@ -21,7 +21,6 @@ from .field import (
     ComplexField,
     DomainSpec,
     ExprField,
-    FuncField,
     GridField,
     Point,
     ScalarField,
@@ -34,10 +33,7 @@ from .field import (
     laplacian,
     max_abs,
     min_abs_location,
-    read_complex_csv,
     read_grid_csv,
-    wirtinger,
-    write_complex_csv,
     write_grid_csv,
 )
 from .oracle import (
@@ -57,7 +53,6 @@ from .quadrature import (
     op_Abar,
 )
 from .riccati import (
-    ConjugatePair,
     RiccatiProblem,
     darboux_potential_eta,
     darboux_u_from_v,

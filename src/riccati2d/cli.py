@@ -30,7 +30,8 @@ from .field import (
     read_grid_csv,
     write_grid_csv,
 )
-from .oracle import OracleSolution, exp_family, harmonic_family, separable_family
+from . import oracle
+from .oracle import OracleSolution
 from .quadrature import AntiderivativeConfig, Contour
 from .riccati import (
     RiccatiProblem,
@@ -94,7 +95,7 @@ class RunConfig:
     raw_text: str
     domain: Optional[DomainSpec] = None
     base: Optional[Point] = None
-    oracles: dict = dc_field(default_factory=dict)  # key -> spec string
+    oracles: dict = dc_field(default_factory=dict)  # key -> (constructor name, args)
     f_spec: Optional[str] = None
     u_spec: Optional[str] = None
     nu_spec: Optional[str] = None
@@ -180,8 +181,7 @@ def parse_config(text: str) -> RunConfig:
             )
     for key in ("oracle", "oracle_b", "oracle_c", "oracle_d"):
         if key in values:
-            cfg.oracles[key] = values[key]
-            _parse_oracle(values[key], lines[key], domain=None, dry_run=True)
+            cfg.oracles[key] = _parse_oracle(values[key], lines[key])
     for attr, key in (("f_spec", "f"), ("u_spec", "u"), ("nu_spec", "nu")):
         if key in values:
             setattr(cfg, attr, _validate_field_spec(values[key], lines[key]))
@@ -222,56 +222,101 @@ def _validate_requirements(cfg: RunConfig) -> None:
     if cfg.case in _NEEDS_DOMAIN and cfg.domain is None and (
         cfg.f_spec or cfg.u_spec or cfg.w_spec
     ):
-        raise ConfigError("domain")
+        raise ConfigError(
+            f"case {cfg.case} reads f, u or w, so it needs a "
+            "'domain = x_min x_max y_min y_max [nx ny]' line"
+        )
     if cfg.case == "picard" and cfg.oracles and len(cfg.oracles) != 4:
         raise ConfigError("picard needs four oracle lines (oracle, oracle_b, oracle_c, oracle_d)")
 
 
-def _parse_oracle(
-    spec: str, line: int = 0, domain: Optional[DomainSpec] = None, dry_run: bool = False
-) -> Optional[OracleSolution]:
+def _checked(convert, ok, complaint: str):
+    """Converter of parameter text that also requires ``ok(value)``."""
+
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"{text!r} {complaint}")
+        return value
+
+    return check
+
+
+_real = _checked(float, math.isfinite, "is not finite")
+_nonnegative_real = _checked(_real, lambda v: v >= 0, "is negative")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "is negative")
+_branch = _checked(str, lambda v: v in ("exp", "cosh"), "is not exp or cosh")
+_harmonic_kind = _checked(
+    str, lambda v: v in ("translate", "monomial"), "is not translate or monomial"
+)
+
+
+def _shift(text: str) -> Point:
+    x, y = text.split(",")
+    return Point(_real(x), _real(y))
+
+
+# family -> (constructor name in the oracle module, its positional parameters as
+# (key, converter, default)); the name is resolved at each call, so wrappers put
+# on the oracle module (profilers, tracers) see every construction
+_ORACLE_FAMILIES = {
+    "exp_family": ("exp_family", (("nu", _nonnegative_real, 1.0), ("theta", _real, 0.0))),
+    "separable": (
+        "separable_family",
+        (
+            ("nu1", _real, 1.0),
+            ("nu2", _real, 0.0),
+            ("branch1", _branch, "exp"),
+            ("branch2", _branch, "exp"),
+            ("shift1", _real, 0.0),
+            ("shift2", _real, 0.0),
+        ),
+    ),
+    "harmonic": (
+        "harmonic_family",
+        (
+            ("kind", _harmonic_kind, "translate"),
+            ("n", _nonnegative_int, 1),
+            ("shift", _shift, Point(0.0, 0.0)),
+        ),
+    ),
+}
+
+
+def _parse_oracle(spec: str, line: Optional[int] = None) -> tuple:
+    """Parse 'family key=value ...' into (constructor name, typed positional args)."""
     parts = spec.split()
     if not parts:
         raise ConfigError("empty oracle spec", line)
-    family, kv = parts[0], parts[1:]
-    params: dict[str, str] = {}
-    for item in kv:
-        if "=" not in item:
+    if parts[0] not in _ORACLE_FAMILIES:
+        raise ConfigError(f"unknown oracle family {parts[0]!r}", line)
+    name, params = _ORACLE_FAMILIES[parts[0]]
+    given: dict[str, str] = {}
+    for item in parts[1:]:
+        key, sep, text = item.partition("=")
+        if not sep:
             raise ConfigError(f"oracle parameter {item!r} must be key=value", line)
-        k, v = item.split("=", 1)
-        params[k] = v
-    try:
-        if family == "exp_family":
-            if dry_run:
-                float(params.get("nu", "1")), float(params.get("theta", "0"))
-                return None
-            return exp_family(float(params.get("nu", "1")), float(params.get("theta", "0")), domain)
-        if family == "separable":
-            args = {k: float(params[k]) for k in ("nu1", "nu2") if k in params}
-            if dry_run:
-                return None
-            return separable_family(
-                args.get("nu1", 1.0),
-                args.get("nu2", 0.0),
-                branch1=params.get("branch1", "exp"),
-                branch2=params.get("branch2", "exp"),
-                shift1=float(params.get("shift1", "0")),
-                shift2=float(params.get("shift2", "0")),
-                domain=domain,
+        given[key] = text
+    known = [key for key, _, _ in params]
+    for key in given:
+        if key not in known:
+            raise ConfigError(
+                f"unknown {parts[0]} parameter {key!r} (choose from {', '.join(known)})", line
             )
-        if family == "harmonic":
-            kind = params.get("kind", "translate")
-            n = int(params.get("n", "1"))
-            shift = params.get("shift", "0,0").split(",")
-            if dry_run:
-                float(shift[0]), float(shift[1])
-                return None
-            return harmonic_family(
-                kind, n, Point(float(shift[0]), float(shift[1])), domain=domain
-            )
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad oracle spec {spec!r}: {exc}", line) from None
-    raise ConfigError(f"unknown oracle family {family!r}", line)
+    args = []
+    for key, convert, default in params:
+        try:
+            args.append(convert(given[key]) if key in given else default)
+        except (ValueError, ToolkitError) as exc:
+            raise ConfigError(f"bad oracle parameter {key}={given[key]!r}: {exc}", line) from None
+    return name, tuple(args)
+
+
+def _oracle(
+    cfg: RunConfig, key: str, default: str, domain: Optional[DomainSpec] = None
+) -> OracleSolution:
+    name, args = cfg.oracles.get(key) or _parse_oracle(default)
+    return getattr(oracle, name)(*args, domain=domain)
 
 
 def _parse_contour(spec: str, line: int = 0, base: Point = Point(0, 0)) -> Contour:
@@ -326,7 +371,7 @@ def _default_problem(domain: DomainSpec, nu: ScalarField) -> RiccatiProblem:
 
 
 def _run_riccati_residual(cfg: RunConfig):
-    sol = _parse_oracle(cfg.oracles.get("oracle", "exp_family nu=1 theta=0.9272952180016123"))
+    sol = _oracle(cfg, "oracle", "exp_family nu=1 theta=0.9272952180016123")
     prob = sol.problem()
     Q = log_derivative(sol.u)
     resid = riccati_residual(Q, prob)
@@ -360,11 +405,8 @@ def _run_darboux(cfg: RunConfig):
 
 
 def _run_euler1(cfg: RunConfig):
-    sol0 = _parse_oracle(cfg.oracles.get("oracle", "exp_family nu=1 theta=0"))
-    sol1 = _parse_oracle(
-        cfg.oracles.get("oracle_b", "exp_family nu=1 theta=0.9272952180016123"),
-        domain=sol0.domain,
-    )
+    sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0")
+    sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", sol0.domain)
     prob = sol0.problem()
     W = euler_first_W_from_Q(sol1.Q, sol0.Q, prob)
     f0 = exp_reconstruct(sol0.Q, prob)
@@ -400,12 +442,8 @@ def _run_picard(cfg: RunConfig):
         "oracle_c": "exp_family nu=1 theta=0",
         "oracle_d": "exp_family nu=1 theta=0.9272952180016123",
     }
-    specs = cfg.oracles or defaults
     domain = cfg.domain or DomainSpec(0, 1, 0, 1, 41, 41, Point(0, 0))
-    sols = [
-        _parse_oracle(specs[k], domain=domain)
-        for k in ("oracle", "oracle_b", "oracle_c", "oracle_d")
-    ]
+    sols = [_oracle(cfg, key, spec, domain) for key, spec in defaults.items()]
     prob = sols[0].problem()
     result = picard_identity(*(s.Q for s in sols), prob, tolerance=cfg.tolerance or 1e-8)
     return result, {}
@@ -413,10 +451,8 @@ def _run_picard(cfg: RunConfig):
 
 def _run_cauchy_riccati(cfg: RunConfig):
     domain = cfg.domain or DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
-    sol0 = _parse_oracle(cfg.oracles.get("oracle", "exp_family nu=1 theta=0"), domain=domain)
-    sol1 = _parse_oracle(
-        cfg.oracles.get("oracle_b", "exp_family nu=1 theta=0.9272952180016123"), domain=domain
-    )
+    sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0", domain)
+    sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", domain)
     gamma = _parse_contour(cfg.contour_spec or "circle 0 0 1 256", base=domain.base)
     prob = sol0.problem()
     result = cauchy_riccati(

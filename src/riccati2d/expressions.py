@@ -4,13 +4,16 @@ Node kinds: constants, the coordinates, sums, products, quotients, integer
 powers, exp, sin, cos and the hyperbolic pair sinh/cosh.  Partial derivatives
 are exact (structural differentiation with light constant folding), which is
 what makes the expression backend usable as ground truth for the
-finite-difference one.
+finite-difference one.  A ``Given`` leaf stands for a field outside that
+grammar (an antiderivative, grid samples): it evaluates by its own rule and
+differentiates to the partials attached to it.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -154,6 +157,29 @@ class Pow(Expr):
 
     def __str__(self):
         return f"({self.base}**{self.exponent})"
+
+
+@dataclass(frozen=True)
+class Given(Expr):
+    """Leaf with an evaluation rule and lazily built partials ``dx()``, ``dy()``.
+
+    ``label`` is its fixed text form, so messages that print a tree (such as
+    a ``SingularityError``) stay deterministic.
+    """
+
+    fn: Callable
+    dx: Callable[[], Expr]
+    dy: Callable[[], Expr]
+    label: str
+
+    def ev(self, x, y):
+        return self.fn(x, y)
+
+    def diff(self, var):
+        return self.dx() if var == "x" else self.dy()
+
+    def __str__(self):
+        return self.label
 
 
 def _unary(np_fn, deriv_fn, symbol):

@@ -1,14 +1,16 @@
 """Scalar and complex fields on planar rectangles.
 
-Three interchangeable backends:
+Two interchangeable backends:
 
 * ``ExprField``  -- expression tree, partial derivatives are exact;
 * ``GridField``  -- uniform samples, order-2 finite differences (central in
-  the interior, one-sided at the boundary) and bilinear off-node evaluation;
-* ``FuncField`` -- an arbitrary evaluation rule, optionally carrying
-  analytically known partial-derivative fields (used for the outputs of the
-  antiderivative operators, whose partials are known exactly even though the
-  values come from quadrature).
+  the interior, one-sided at the boundary) and bilinear off-node evaluation.
+
+The outputs of the antiderivative operators are expression fields too: their
+values come from quadrature, but they are ``Given`` leaves carrying their
+exact partials, so the expression algebra combines and differentiates them
+like any other node.  Combining anything with a ``GridField`` resamples the
+result on that grid.
 
 Complex fields are stored as a pair of real fields, mirroring the systematic
 Re/Im decomposition used everywhere downstream.
@@ -16,8 +18,8 @@ Re/Im decomposition used everywhere downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -100,9 +102,6 @@ class DomainSpec:
             and np.all(y <= self.y_max + tol)
         )
 
-    def with_resolution(self, nx: int, ny: int) -> "DomainSpec":
-        return DomainSpec(self.x_min, self.x_max, self.y_min, self.y_max, nx, ny, self.base)
-
 
 # ---------------------------------------------------------------------------
 # Scalar fields
@@ -122,6 +121,9 @@ class ScalarField:
         raise NotImplementedError
 
     def dy(self) -> "ScalarField":
+        raise NotImplementedError
+
+    def to_expr(self) -> ex.Expr:
         raise NotImplementedError
 
     # public evaluation -------------------------------------------------
@@ -188,6 +190,9 @@ class ExprField(ScalarField):
     def dy(self) -> "ExprField":
         return ExprField(self.domain, self.expr.diff("y"))
 
+    def to_expr(self) -> ex.Expr:
+        return self.expr
+
     def __repr__(self):
         return f"ExprField({self.expr})"
 
@@ -252,59 +257,20 @@ class GridField(ScalarField):
     def dy(self) -> "GridField":
         return GridField(self.domain, _fd1(self.values, self.domain.hy, axis=0))
 
+    def to_expr(self) -> ex.Expr:
+        """The samples as a leaf whose partials are the grid's own differences."""
+        return ex.Given(
+            self._values,
+            lambda: self.dx().to_expr(),
+            lambda: self.dy().to_expr(),
+            f"grid[{self.domain.nx}x{self.domain.ny}]",
+        )
+
     def laplacian_values(self) -> np.ndarray:
         """5-point stencil in the interior, order-2 one-sided at the boundary."""
         return _fd2(self.values, self.domain.hx, axis=1) + _fd2(
             self.values, self.domain.hy, axis=0
         )
-
-
-class FuncField(ScalarField):
-    """Field defined by an evaluation rule, with optional exact partials."""
-
-    def __init__(
-        self,
-        domain: DomainSpec,
-        fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        dx: Union[ScalarField, Callable[[], ScalarField], None] = None,
-        dy: Union[ScalarField, Callable[[], ScalarField], None] = None,
-    ):
-        self.domain = domain
-        self.fn = fn
-        self._dx = dx
-        self._dy = dy
-
-    def _values(self, x, y):
-        out = self.fn(x, y)
-        return np.broadcast_to(np.asarray(out, float), np.broadcast(x, y).shape)
-
-    def _resolve(self, slot: str) -> ScalarField:
-        cur = getattr(self, slot)
-        if cur is None:
-            axis = 0 if slot == "_dx" else 1
-            cur = _numeric_partial(self, axis)
-        elif callable(cur) and not isinstance(cur, ScalarField):
-            cur = cur()
-        setattr(self, slot, cur)
-        return cur
-
-    def dx(self) -> ScalarField:
-        return self._resolve("_dx")
-
-    def dy(self) -> ScalarField:
-        return self._resolve("_dy")
-
-
-def _numeric_partial(f: ScalarField, axis: int) -> FuncField:
-    """Central-difference fallback for fields without analytic partials."""
-
-    def fn(x, y):
-        h = 1e-6 * (1.0 + np.abs(x if axis == 0 else y))
-        if axis == 0:
-            return (f._values(x + h, y) - f._values(x - h, y)) / (2 * h)
-        return (f._values(x, y + h) - f._values(x, y - h)) / (2 * h)
-
-    return FuncField(f.domain, fn)
 
 
 def _coerce(other, domain: DomainSpec) -> ScalarField:
@@ -330,36 +296,18 @@ _NP_OPS = {
 
 
 def _combine(a: ScalarField, b: ScalarField, op: str) -> ScalarField:
-    if isinstance(a, ExprField) and isinstance(b, ExprField):
-        return ExprField(a.domain, _EXPR_OPS[op](a.expr, b.expr))
     if isinstance(a, GridField) or isinstance(b, GridField):
         grid = a if isinstance(a, GridField) else b
         xg, yg = grid.domain.mesh()
         return GridField(grid.domain, _NP_OPS[op](a._values(xg, yg), b._values(xg, yg)))
-    npop = _NP_OPS[op]
-    out = FuncField(a.domain, lambda x, y: npop(a._values(x, y), b._values(x, y)))
-    if op in ("add", "sub"):
-        out._dx = lambda: _combine(a.dx(), b.dx(), op)
-        out._dy = lambda: _combine(a.dy(), b.dy(), op)
-    elif op == "mul":
-        out._dx = lambda: a.dx() * b + a * b.dx()
-        out._dy = lambda: a.dy() * b + a * b.dy()
-    else:  # div
-        out._dx = lambda: (a.dx() * b - a * b.dx()) / (b * b)
-        out._dy = lambda: (a.dy() * b - a * b.dy()) / (b * b)
-    return out
+    return ExprField(a.domain, _EXPR_OPS[op](a.expr, b.expr))
 
 
 def exp_field(f: ScalarField) -> ScalarField:
     """Pointwise exponential with exact derivative propagation."""
-    if isinstance(f, ExprField):
-        return ExprField(f.domain, ex.Exp(f.expr))
     if isinstance(f, GridField):
         return GridField(f.domain, np.exp(f.values))
-    out = FuncField(f.domain, lambda x, y: np.exp(f._values(x, y)))
-    out._dx = lambda: out * f.dx()
-    out._dy = lambda: out * f.dy()
-    return out
+    return ExprField(f.domain, ex.Exp(f.expr))
 
 
 def constant_field(value: float, domain: DomainSpec) -> ExprField:
@@ -424,9 +372,7 @@ class ComplexField:
         return ComplexField(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            return ComplexField(self.re * other, self.im * other)
-        if isinstance(other, (int, float)):
+        if isinstance(other, (ScalarField, int, float)):
             return ComplexField(self.re * other, self.im * other)
         o = self._coerce(other)
         return ComplexField(
@@ -436,9 +382,7 @@ class ComplexField:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, ScalarField):
-            return ComplexField(self.re / other, self.im / other)
-        if isinstance(other, (int, float)):
+        if isinstance(other, (ScalarField, int, float)):
             return ComplexField(self.re / other, self.im / other)
         o = self._coerce(other)
         den = o.abs2()
@@ -490,11 +434,6 @@ def d_zbar(f: FieldLike) -> ComplexField:
     return f.dzbar()
 
 
-def wirtinger(f: FieldLike) -> tuple[ComplexField, ComplexField]:
-    """Return (d_z f, d_zbar f)."""
-    return d_z(f), d_zbar(f)
-
-
 def laplacian(f: FieldLike) -> FieldLike:
     if isinstance(f, ComplexField):
         return ComplexField(laplacian(f.re), laplacian(f.im))
@@ -515,21 +454,20 @@ def gradient_norm_ratio(f: ScalarField) -> ScalarField:
 
 
 def max_abs(f: FieldLike, nx=None, ny=None, margin: int = 0) -> float:
-    vals = f.sample(nx, ny, margin) if isinstance(f, ComplexField) else f.sample(nx, ny, margin)
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(f.sample(nx, ny, margin))))
 
 
 def min_abs_location(f: FieldLike, nx=None, ny=None) -> tuple[float, Point]:
     dom = f.domain
     xg, yg = dom.mesh(nx, ny)
-    vals = np.abs(f.re(xg, yg) + 1j * f.im(xg, yg)) if isinstance(f, ComplexField) else np.abs(f(xg, yg))
+    vals = np.abs(f(xg, yg))
     k = int(np.argmin(vals))
     return float(vals.flat[k]), Point(float(xg.flat[k]), float(yg.flat[k]))
 
 
 def check_nonvanishing(f: FieldLike, name: str, threshold: float = NONVANISHING_EPS) -> None:
     m, at = min_abs_location(f)
-    if m <= threshold:
+    if not m > threshold:
         raise NonvanishingError(name, m, (at.x, at.y))
 
 
@@ -558,12 +496,3 @@ def read_grid_csv(path) -> GridField:
     if values.shape != (ny, nx):
         raise DomainError(f"{path}: expected {ny} rows of {nx} values, got {values.shape}")
     return GridField(DomainSpec(x_min, x_max, y_min, y_max, nx, ny), values)
-
-
-def write_complex_csv(base_path: str, cf: ComplexField) -> None:
-    write_grid_csv(base_path + "_re.csv", cf.re.to_grid())
-    write_grid_csv(base_path + "_im.csv", cf.im.to_grid())
-
-
-def read_complex_csv(base_path: str) -> ComplexField:
-    return ComplexField(read_grid_csv(base_path + "_re.csv"), read_grid_csv(base_path + "_im.csv"))

@@ -49,15 +49,15 @@ class OracleSolution:
 def _self_check(sol: OracleSolution) -> OracleSolution:
     prob = sol.problem()
     m, at = min_abs_location(sol.u)
-    if m <= ZERO_SET_MARGIN:
+    if not m > ZERO_SET_MARGIN:
         raise ParameterError(
             f"{sol.family} oracle: u nearly vanishes (min |u| = {m:.3e} at ({at.x}, {at.y}))"
         )
     r_s = max_abs(schrodinger_residual(sol.u, prob))
-    if r_s > SELF_CHECK_TOL:
+    if not r_s <= SELF_CHECK_TOL:
         raise NotASolutionError(f"{sol.family} oracle u", r_s, SELF_CHECK_TOL)
     r_q = max_abs(riccati_residual(sol.Q, prob))
-    if r_q > SELF_CHECK_TOL:
+    if not r_q <= SELF_CHECK_TOL:
         raise NotASolutionError(f"{sol.family} oracle Q", r_q, SELF_CHECK_TOL)
     return sol
 

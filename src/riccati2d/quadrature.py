@@ -14,11 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import expressions as ex
 from .errors import CompatibilityError, ContourError, DomainError, ParameterError
 from .field import (
     ComplexField,
     DomainSpec,
-    FuncField,
+    ExprField,
     Point,
     ScalarField,
     max_abs,
@@ -210,7 +211,7 @@ def compatibility_check(Phi: ComplexField, which: str) -> float:
 
 def _require_compatible(Phi: ComplexField, which: str, tol: float) -> None:
     residual = compatibility_check(Phi, which)
-    if residual > tol:
+    if not residual <= tol:
         raise CompatibilityError(which, residual, tol)
 
 
@@ -233,6 +234,20 @@ def _lpath_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
     return value
 
 
+def _antiderivative(
+    Phi: ComplexField, cfg: AntiderivativeConfig, sign: float, name: str
+) -> ExprField:
+    """Expression field whose values come from L-path quadrature and whose
+    partials are the exact d_x phi = 2 Phi1, d_y phi = sign * 2 Phi2."""
+    leaf = ex.Given(
+        _lpath_value(Phi, cfg, sign),
+        lambda: (2.0 * Phi.re).to_expr(),
+        lambda: (2.0 * sign * Phi.im).to_expr(),
+        f"{name}[Phi]",
+    )
+    return ExprField(Phi.domain, leaf)
+
+
 def op_Abar(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
     """Reconstruct the real field phi with d_zbar(phi) = Phi, up to the constant c.
 
@@ -241,12 +256,7 @@ def op_Abar(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
     d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature.
     """
     _require_compatible(Phi, "casirot", cfg.compat_tol)
-    return FuncField(
-        Phi.domain,
-        _lpath_value(Phi, cfg, sign=+1.0),
-        dx=lambda: 2.0 * Phi.re,
-        dy=lambda: 2.0 * Phi.im,
-    )
+    return _antiderivative(Phi, cfg, +1.0, "op_Abar")
 
 
 def op_A(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
@@ -256,12 +266,7 @@ def op_A(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
     d_x phi = 2 Phi1, d_y phi = -2 Phi2.
     """
     _require_compatible(Phi, "casirot_plus", cfg.compat_tol)
-    return FuncField(
-        Phi.domain,
-        _lpath_value(Phi, cfg, sign=-1.0),
-        dx=lambda: 2.0 * Phi.re,
-        dy=lambda: -2.0 * Phi.im,
-    )
+    return _antiderivative(Phi, cfg, -1.0, "op_A")
 
 
 def antiderivative_along(

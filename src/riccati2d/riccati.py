@@ -39,15 +39,6 @@ class RiccatiProblem:
     cfg: AntiderivativeConfig
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
-    """A Schrodinger solution u, its conjugate partner v and the generator f."""
-
-    u: ScalarField
-    v: ScalarField
-    f: ScalarField
-
-
 def riccati_residual(Q: ComplexField, prob: RiccatiProblem) -> ComplexField:
     """Pointwise d_zbar(Q) + |Q|^2 - nu/4 (zero iff Q solves the equation)."""
     return Q.dzbar() + ComplexField.from_real(Q.abs2() - 0.25 * prob.nu)
@@ -63,25 +54,25 @@ def _require_riccati_solution(
 ) -> None:
     tol = SOLUTION_TOL if tol is None else tol
     residual = max_abs(riccati_residual(Q, prob))
-    if residual > tol:
+    if not residual <= tol:
         raise NotASolutionError(what, residual, tol)
 
 
 def _require_schrodinger_solution(u: ScalarField, prob: RiccatiProblem, what: str) -> None:
     residual = max_abs(schrodinger_residual(u, prob))
-    if residual > SOLUTION_TOL:
+    if not residual <= SOLUTION_TOL:
         raise NotASolutionError(what, residual, SOLUTION_TOL)
 
 
 def _require_bounded(Q: ComplexField, what: str) -> None:
     peak = max_abs(Q)
-    if peak > BOUNDEDNESS_LIMIT:
+    if not peak <= BOUNDEDNESS_LIMIT:
         raise ParameterError(f"{what} exceeds the boundedness proxy: max |{what}| = {peak:.3e}")
 
 
 def _require_nonzero_denominator(f, name: str) -> None:
     m, at = min_abs_location(f)
-    if m <= NONVANISHING_EPS:
+    if not m > NONVANISHING_EPS:
         raise ZeroSetError(name, m, (at.x, at.y))
 
 

@@ -102,7 +102,7 @@ def picard_identity(
     pairs = ((0, 1), (2, 3), (0, 3), (2, 1))
     for i, j in pairs:
         dmin = _min_abs(Qs[i] - Qs[j])
-        if dmin <= PAIR_DEGENERACY_EPS:
+        if not dmin > PAIR_DEGENERACY_EPS:
             raise DegeneratePairError(f"Q{i + 1}-Q{j + 1}", dmin)
     total = (
         picard_term(Q1, Q2)
@@ -204,7 +204,7 @@ def cauchy_laplace_reductions(
     """
     _require_closed(gamma)
     lap = max_abs(laplacian(field))
-    if lap > HARMONIC_TOL:
+    if not lap <= HARMONIC_TOL:
         raise NotASolutionError("input (must be harmonic)", lap, HARMONIC_TOL)
     if kind == "derivative":
         integrand = d_z(field)
@@ -312,7 +312,7 @@ def euler_second_baseline(
     subregion avoiding zeros of the retained partial sums.
     """
     analytic_defect = max_abs(W.dzbar())
-    if analytic_defect > ANALYTIC_TOL:
+    if not analytic_defect <= ANALYTIC_TOL:
         raise NotASolutionError("W (must be analytic)", analytic_defect, ANALYTIC_TOL)
     dom = W.domain
     if radius is None:
@@ -359,5 +359,5 @@ def euler_second_baseline(
 def _require_region_nonzero(values: np.ndarray, xg, yg, name: str) -> None:
     k = int(np.argmin(np.abs(values)))
     m = float(np.abs(values.flat[k]))
-    if m <= PAIR_DEGENERACY_EPS:
+    if not m > PAIR_DEGENERACY_EPS:
         raise ZeroSetError(name, m, (float(xg.flat[k]), float(yg.flat[k])))

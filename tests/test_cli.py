@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from riccati2d import ConfigError, read_grid_csv
+from riccati2d import ConfigError, DomainSpec, ExprField, read_grid_csv, write_grid_csv
 from riccati2d.cli import CASES, main, mask_timings, parse_config, run
 
 
@@ -67,6 +67,24 @@ def test_nonpositive_tolerance_rejected():
 def test_bad_oracle_spec_rejected():
     with pytest.raises(ConfigError, match="oracle"):
         parse_config("case = riccati-residual\noracle = martian nu=1\n")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "separable nu1=1 nu2=0 shift1=abc",
+        "separable nu1=1 nu2=0 branch1=bogus",
+        "harmonic kind=bogus",
+        "harmonic n=-1",
+        "exp_family nu=-1",
+        "exp_family nu=nan",
+        "exp_family nu=1 colour=2",
+    ],
+)
+def test_oracle_spec_validated_at_parse_time(spec):
+    with pytest.raises(ConfigError, match="line 2") as err:
+        parse_config(f"case = riccati-residual\noracle = {spec}\n")
+    assert err.value.line == 2
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +193,29 @@ def test_refine_flag_overrides_config(tmp_path):
     out = tmp_path / "r.json"
     assert main(["--config", cfg, "--out", str(out), "--refine", "1"]) == 0
     assert len(json.loads(out.read_text())["identities"][0]["refinement"]) == 2
+
+
+def test_darboux_on_grid_backed_antiderivative(tmp_path):
+    """u from CSV makes op_Abar's input grid-backed: v's partials are grid leaves."""
+    dom = DomainSpec(0.0, 1.0, 0.0, 1.0, 41, 41)
+    csv = tmp_path / "u.csv"
+    write_grid_csv(csv, ExprField(dom, "x**2 - y**2 + 2*x").to_grid())
+    text = f"case = darboux\ndomain = 0 1 0 1 41 41\nu = csv {csv}\nf = 1\nnu = 0\n"
+    entry = run(parse_config(text))["identities"][0]
+    assert entry["pass"]
+    assert entry["residual"] < 1e-11  # order-2 differences are exact on a quadratic
+
+
+def test_nan_residual_fails_its_gate():
+    """exp(800 x) overflows; the resulting NaN residual must fail the f gate."""
+    text = (
+        "case = cauchy-schrodinger\ndomain = 0 1.2 0 1.2\nu = exp(800*x)\n"
+        "f = exp(800*y)\nnu = 640000\ncontour = circle 0.6 0.6 0.5 64\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        entry = run(parse_config(text))["identities"][0]
+    assert not entry["pass"]
+    assert entry["reason"].startswith("f is not a solution")
 
 
 def test_every_named_case_runs_clean(tmp_path):

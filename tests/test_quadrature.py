@@ -190,3 +190,22 @@ def test_antiderivative_along_rejects_wrong_start(unit_square):
     Phi = ComplexField.constant(0.5j, unit_square)
     with pytest.raises(ContourError):
         antiderivative_along(Phi, Contour.polyline([(0.5, 0.5), (1, 1)]), cfg)
+
+
+def test_vanishing_partial_skips_quadrature(monkeypatch):
+    """With Im Q = 0 the y-partial of exp(A[Q]) folds to zero: no quadrature runs."""
+    from riccati2d import exp_family, exp_field
+    from riccati2d import quadrature
+
+    calls = []
+    inner = quadrature.adaptive_segment_integral
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_segment_integral", counting)
+    sol = exp_family(1.0, 0.0)
+    u = exp_field(op_A(sol.Q, sol.problem().cfg))
+    assert max_abs(u.dy()) == 0.0
+    assert calls == []

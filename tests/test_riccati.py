@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from riccati2d import (
+    CompatibilityError,
     ComplexField,
+    Contour,
     DomainSpec,
     ExprField,
+    NonvanishingError,
     NotASolutionError,
+    OracleSolution,
+    ParameterError,
     Point,
     ZeroSetError,
+    cauchy_laplace_reductions,
+    check_nonvanishing,
     constant_field,
     darboux_potential_eta,
     darboux_u_from_v,
@@ -30,6 +37,16 @@ from riccati2d import (
     separable_family,
     vekua_residual,
 )
+from riccati2d import expressions as ex
+from riccati2d.oracle import _self_check
+from riccati2d.quadrature import _require_compatible
+from riccati2d.riccati import (
+    _require_bounded,
+    _require_nonzero_denominator,
+    _require_riccati_solution,
+    _require_schrodinger_solution,
+)
+from riccati2d.theorems import euler_second_baseline
 from conftest import make_problem
 
 
@@ -173,3 +190,37 @@ def test_vekua_residual_of_analytic_for_constant_f(unit_square):
     W = ComplexField(ExprField(unit_square, "x"), ExprField(unit_square, "y"))
     f = constant_field(2.0, unit_square)
     assert max_abs(vekua_residual(W, f)) < 1e-13
+
+
+def _oracle_with(u, Q, prob):
+    return OracleSolution(u, prob.nu, Q, "nan-test", {}, prob.domain)
+
+
+@pytest.mark.parametrize(
+    "gate, error",
+    [
+        (lambda u, f, Q, prob: _require_compatible(Q, "casirot", 1e-8), CompatibilityError),
+        (lambda u, f, Q, prob: _require_riccati_solution(Q, prob, "Q"), NotASolutionError),
+        (lambda u, f, Q, prob: _require_schrodinger_solution(f, prob, "f"), NotASolutionError),
+        (lambda u, f, Q, prob: _require_bounded(Q, "Q"), ParameterError),
+        (lambda u, f, Q, prob: check_nonvanishing(f, "f"), NonvanishingError),
+        (lambda u, f, Q, prob: _require_nonzero_denominator(f, "u"), ZeroSetError),
+        (
+            lambda u, f, Q, prob: cauchy_laplace_reductions(f, Contour.circle(0.5, 0.5, 0.25)),
+            NotASolutionError,
+        ),
+        (lambda u, f, Q, prob: euler_second_baseline(Q, Point(0.5, 0.5), 4), NotASolutionError),
+        (lambda u, f, Q, prob: _self_check(_oracle_with(f, Q, prob)), ParameterError),
+        (lambda u, f, Q, prob: _self_check(_oracle_with(u, Q, prob)), NotASolutionError),
+    ],
+    ids=[
+        "compatible", "riccati", "schrodinger", "bounded", "nonvanishing",
+        "denominator", "harmonic", "analytic", "oracle-u", "oracle-Q",
+    ],
+)
+def test_nan_fails_every_gate(unit_square, gate, error):
+    """A NaN residual or minimum is a failed gate, never a pass."""
+    f = ExprField(unit_square, math.nan * ex.Exp(ex.X + ex.Y))  # NaN values and partials
+    u = ExprField(unit_square, "exp(x)")  # a real solution for nu = 1
+    with pytest.raises(error):
+        gate(u, f, ComplexField(f, f), make_problem(unit_square))
