@@ -1,9 +1,11 @@
 """Command-line front end: parse a run config, execute identity checks,
 emit a JSON report.
 
-Config grammar is line-oriented ``key = value`` with ``#`` comments.  Exit
+Config grammar is line-oriented ``key = value`` with ``#`` comments.  Every
+value is converted and range-checked once, when the config is read.  Exit
 status: 0 all identities pass, 1 at least one fails, 2 config/usage error,
-3 I/O error.
+3 I/O error, 4 a case raised an unexpected (non-toolkit) exception; the
+report still lists every case.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .riccati import (
     vekua_residual,
 )
 from .theorems import (
+    TAYLOR_CIRCLE_NODES,
     IdentityResult,
     analytic_exp,
     analytic_power,
@@ -57,177 +60,33 @@ from .theorems import (
     picard_identity,
 )
 
-CASES = (
-    "riccati-residual",
-    "darboux",
-    "euler1",
-    "euler2-baseline",
-    "picard",
-    "cauchy-riccati",
-    "cauchy-schrodinger",
-    "laplace-reductions",
-    "all",
-)
+_MAX_GRID_POINTS = 2**22  # nx * ny of a domain
+_MAX_CONTOUR_NODES = 2**20  # circle nodes, or nodes per polyline segment, at the finest level
 
-_KNOWN_KEYS = {
-    "case",
-    "domain",
-    "base",
-    "oracle",
-    "oracle_b",
-    "oracle_c",
-    "oracle_d",
-    "f",
-    "u",
-    "nu",
-    "w",
-    "z0",
-    "n_terms",
-    "contour",
-    "tolerance",
-    "refine",
-}
+_Source = Callable[[DomainSpec], ScalarField]
+_ORACLE_KEYS = ("oracle", "oracle_b", "oracle_c", "oracle_d")
 
 
 @dataclass
 class RunConfig:
     case: str
     raw_text: str
-    domain: Optional[DomainSpec] = None
-    base: Optional[Point] = None
+    domain: Optional[DomainSpec] = None  # carries the base point
     oracles: dict = dc_field(default_factory=dict)  # key -> (constructor name, args)
-    f_spec: Optional[str] = None
-    u_spec: Optional[str] = None
-    nu_spec: Optional[str] = None
-    w_spec: Optional[str] = None
+    f: Optional[_Source] = None
+    u: Optional[_Source] = None
+    nu: Optional[_Source] = None
+    w: Optional[Callable[[DomainSpec], ComplexField]] = None
     z0: Point = Point(0.0, 0.0)
     n_terms: int = 10
-    contour_spec: Optional[str] = None
+    contour: Contour = Contour.circle(0.0, 0.0, 1.0, 256)
     tolerance: Optional[float] = None
     refine: int = 0
 
 
-def _parse_domain(value: str, line: int) -> DomainSpec:
-    parts = value.split()
-    if len(parts) not in (4, 6):
-        raise ConfigError("domain needs 'x_min x_max y_min y_max [nx ny]'", line)
-    try:
-        x0, x1, y0, y1 = map(float, parts[:4])
-        nx, ny = (int(parts[4]), int(parts[5])) if len(parts) == 6 else (41, 41)
-        return DomainSpec(x0, x1, y0, y1, nx, ny)
-    except (ValueError, ToolkitError) as exc:
-        raise ConfigError(f"invalid domain: {exc}", line) from None
-
-
-def _parse_point(value: str, line: int, what: str) -> Point:
-    parts = value.split()
-    if len(parts) != 2:
-        raise ConfigError(f"{what} needs two coordinates", line)
-    try:
-        return Point(float(parts[0]), float(parts[1]))
-    except (ValueError, ToolkitError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}", line) from None
-
-
-def _validate_field_spec(value: str, line: int) -> str:
-    """A field source is either 'csv PATH' or expression text (parsed eagerly)."""
-    if value.startswith("csv "):
-        return value
-    try:
-        parse_expression(value)
-    except ExpressionError as exc:
-        raise ConfigError(f"bad expression {value!r}: {exc}", line) from None
-    return value
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate line-oriented config text."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in values:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
-        values[key] = value
-        lines[key] = lineno
-
-    if "case" not in values:
-        raise ConfigError("missing required key 'case'")
-    case = values["case"]
-    if case not in CASES:
-        raise ConfigError(f"unknown case {case!r} (choose from {', '.join(CASES)})", lines["case"])
-
-    cfg = RunConfig(case=case, raw_text=text)
-    if "domain" in values:
-        cfg.domain = _parse_domain(values["domain"], lines["domain"])
-    if "base" in values:
-        cfg.base = _parse_point(values["base"], lines["base"], "base")
-        if cfg.domain is not None:
-            cfg.domain = DomainSpec(
-                cfg.domain.x_min,
-                cfg.domain.x_max,
-                cfg.domain.y_min,
-                cfg.domain.y_max,
-                cfg.domain.nx,
-                cfg.domain.ny,
-                cfg.base,
-            )
-    for key in ("oracle", "oracle_b", "oracle_c", "oracle_d"):
-        if key in values:
-            cfg.oracles[key] = _parse_oracle(values[key], lines[key])
-    for attr, key in (("f_spec", "f"), ("u_spec", "u"), ("nu_spec", "nu")):
-        if key in values:
-            setattr(cfg, attr, _validate_field_spec(values[key], lines[key]))
-    if "w" in values:
-        cfg.w_spec = values["w"]
-        _parse_w(values["w"], cfg.domain or DomainSpec(-1, 1, -1, 1), lines["w"])
-    if "z0" in values:
-        cfg.z0 = _parse_point(values["z0"], lines["z0"], "z0")
-    if "n_terms" in values:
-        try:
-            cfg.n_terms = int(values["n_terms"])
-        except ValueError:
-            raise ConfigError("n_terms must be an integer", lines["n_terms"]) from None
-    if "contour" in values:
-        cfg.contour_spec = values["contour"]
-        _parse_contour(values["contour"], lines["contour"], base=Point(0, 0))
-    if "tolerance" in values:
-        try:
-            cfg.tolerance = float(values["tolerance"])
-        except ValueError:
-            raise ConfigError("tolerance must be a number", lines["tolerance"]) from None
-        if cfg.tolerance <= 0:
-            raise ConfigError("tolerance must be positive", lines["tolerance"])
-    if "refine" in values:
-        try:
-            cfg.refine = int(values["refine"])
-        except ValueError:
-            raise ConfigError("refine must be an integer", lines["refine"]) from None
-
-    _validate_requirements(cfg)
-    return cfg
-
-
-_NEEDS_DOMAIN = {"darboux", "euler2-baseline", "cauchy-schrodinger", "laplace-reductions"}
-
-
-def _validate_requirements(cfg: RunConfig) -> None:
-    if cfg.case in _NEEDS_DOMAIN and cfg.domain is None and (
-        cfg.f_spec or cfg.u_spec or cfg.w_spec
-    ):
-        raise ConfigError(
-            f"case {cfg.case} reads f, u or w, so it needs a "
-            "'domain = x_min x_max y_min y_max [nx ny]' line"
-        )
-    if cfg.case == "picard" and cfg.oracles and len(cfg.oracles) != 4:
-        raise ConfigError("picard needs four oracle lines (oracle, oracle_b, oracle_c, oracle_d)")
+# ---------------------------------------------------------------------------
+# Value converters: text -> typed value, raising ValueError or a ToolkitError.
+# ---------------------------------------------------------------------------
 
 
 def _checked(convert, ok, complaint: str):
@@ -243,8 +102,12 @@ def _checked(convert, ok, complaint: str):
 
 
 _real = _checked(float, math.isfinite, "is not finite")
+_positive_real = _checked(_real, lambda v: v > 0, "is not positive")
 _nonnegative_real = _checked(_real, lambda v: v >= 0, "is negative")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "is negative")
+_n_terms = _checked(
+    int, lambda v: 0 <= v < TAYLOR_CIRCLE_NODES, f"is outside 0..{TAYLOR_CIRCLE_NODES - 1}"
+)
 _branch = _checked(str, lambda v: v in ("exp", "cosh"), "is not exp or cosh")
 _harmonic_kind = _checked(
     str, lambda v: v in ("translate", "monomial"), "is not translate or monomial"
@@ -254,6 +117,59 @@ _harmonic_kind = _checked(
 def _shift(text: str) -> Point:
     x, y = text.split(",")
     return Point(_real(x), _real(y))
+
+
+def _point(text: str) -> Point:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError("needs two coordinates 'x y'")
+    return Point(float(parts[0]), float(parts[1]))
+
+
+def _bounds(text: str) -> tuple:
+    """'x_min x_max y_min y_max [nx ny]' -> DomainSpec arguments (the base comes later)."""
+    parts = text.split()
+    if len(parts) not in (4, 6):
+        raise ValueError("needs 'x_min x_max y_min y_max [nx ny]'")
+    nx, ny = map(int, parts[4:]) if len(parts) == 6 else (41, 41)
+    if nx * ny > _MAX_GRID_POINTS:
+        raise ValueError(f"nx*ny = {nx * ny} exceeds {_MAX_GRID_POINTS}")
+    return (*map(_real, parts[:4]), nx, ny)
+
+
+def _source(text: str) -> _Source:
+    """'csv PATH' (read when the case runs) or expression text (parsed now)."""
+    if text.startswith("csv "):
+        path = text[4:].strip()
+        return lambda domain: read_grid_csv(path)
+    try:
+        expr = parse_expression(text)
+    except ExpressionError as exc:
+        raise ValueError(f"not 'csv PATH' or a valid expression: {exc}") from None
+    return lambda domain: ExprField(domain, expr)
+
+
+def _w(text: str) -> Callable[[DomainSpec], ComplexField]:
+    parts = text.split()
+    if parts == ["expz"]:
+        return lambda domain: analytic_exp(domain)
+    if len(parts) == 2 and parts[0] == "zpow":
+        n = _nonnegative_int(parts[1])
+        return lambda domain: analytic_power(n, domain)
+    raise ValueError("use 'expz' or 'zpow N'")
+
+
+def _contour(text: str) -> Contour:
+    parts = text.split()
+    if parts[:1] == ["circle"] and len(parts) in (4, 5):
+        cx, cy, radius = map(_real, parts[1:4])
+        return Contour.circle(cx, cy, radius, *map(int, parts[4:]))
+    if parts[:1] == ["polyline"]:
+        coords = parts[1:]
+        n_per = [int(coords.pop())] if len(coords) % 2 else []
+        xy = list(map(_real, coords))
+        return Contour.polyline(list(zip(xy[0::2], xy[1::2])), *n_per)
+    raise ValueError("use 'circle CX CY R [N]' or 'polyline X1 Y1 X2 Y2 ... [N]'")
 
 
 # family -> (constructor name in the oracle module, its positional parameters as
@@ -283,32 +199,30 @@ _ORACLE_FAMILIES = {
 }
 
 
-def _parse_oracle(spec: str, line: Optional[int] = None) -> tuple:
+def _parse_oracle(spec: str) -> tuple:
     """Parse 'family key=value ...' into (constructor name, typed positional args)."""
     parts = spec.split()
-    if not parts:
-        raise ConfigError("empty oracle spec", line)
-    if parts[0] not in _ORACLE_FAMILIES:
-        raise ConfigError(f"unknown oracle family {parts[0]!r}", line)
+    if not parts or parts[0] not in _ORACLE_FAMILIES:
+        raise ValueError(f"unknown oracle family (choose from {', '.join(_ORACLE_FAMILIES)})")
     name, params = _ORACLE_FAMILIES[parts[0]]
     given: dict[str, str] = {}
     for item in parts[1:]:
         key, sep, text = item.partition("=")
         if not sep:
-            raise ConfigError(f"oracle parameter {item!r} must be key=value", line)
+            raise ValueError(f"oracle parameter {item!r} must be key=value")
         given[key] = text
     known = [key for key, _, _ in params]
     for key in given:
         if key not in known:
-            raise ConfigError(
-                f"unknown {parts[0]} parameter {key!r} (choose from {', '.join(known)})", line
+            raise ValueError(
+                f"unknown {parts[0]} parameter {key!r} (choose from {', '.join(known)})"
             )
     args = []
     for key, convert, default in params:
         try:
             args.append(convert(given[key]) if key in given else default)
         except (ValueError, ToolkitError) as exc:
-            raise ConfigError(f"bad oracle parameter {key}={given[key]!r}: {exc}", line) from None
+            raise ValueError(f"bad oracle parameter {key}={given[key]!r}: {exc}") from None
     return name, tuple(args)
 
 
@@ -319,77 +233,38 @@ def _oracle(
     return getattr(oracle, name)(*args, domain=domain)
 
 
-def _parse_contour(spec: str, line: int = 0, base: Point = Point(0, 0)) -> Contour:
-    parts = spec.split()
-    try:
-        if parts[0] == "circle":
-            cx, cy, radius = map(float, parts[1:4])
-            n = int(parts[4]) if len(parts) > 4 else 256
-            return Contour.circle(cx, cy, radius, n)
-        if parts[0] == "polyline":
-            coords = list(map(float, parts[1:]))
-            if len(coords) % 2 == 1:
-                n_per = int(coords[-1])
-                coords = coords[:-1]
-            else:
-                n_per = 32
-            pts = list(zip(coords[0::2], coords[1::2]))
-            return Contour.polyline(pts, n_per)
-        if parts[0] == "lpath":
-            end = Point(float(parts[1]), float(parts[2])) if len(parts) > 2 else Point(1.0, 1.0)
-            return Contour.lpath(base, end)
-    except (ValueError, IndexError, ToolkitError) as exc:
-        raise ConfigError(f"bad contour spec {spec!r}: {exc}", line) from None
-    raise ConfigError(f"unknown contour kind {parts[0]!r}", line)
-
-
-def _load_field(spec: str, domain: DomainSpec) -> ScalarField:
-    if spec.startswith("csv "):
-        return read_grid_csv(spec[4:].strip())
-    return ExprField(domain, parse_expression(spec))
-
-
-def _parse_w(spec: str, domain: DomainSpec, line: int = 0) -> ComplexField:
-    parts = spec.split()
-    if parts[0] == "expz":
-        return analytic_exp(domain)
-    if parts[0] == "zpow":
-        try:
-            return analytic_power(int(parts[1]), domain)
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"bad w spec {spec!r}: {exc}", line) from None
-    raise ConfigError(f"unknown w spec {spec!r} (use 'expz' or 'zpow N')", line)
-
-
 # ---------------------------------------------------------------------------
-# Case runners.  Each returns (IdentityResult, fields-to-dump dict).
+# Case runners.  Each takes (config, tolerance) and returns
+# (IdentityResult, fields-to-dump dict).
 # ---------------------------------------------------------------------------
+
+_UNIT_SQUARE = DomainSpec(0, 1, 0, 1, 41, 41, Point(0, 0))
+_CENTRED_SQUARE = DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
+
+
+def _load(source: Optional[_Source], default: str, domain: DomainSpec) -> ScalarField:
+    return (source or _source(default))(domain)
 
 
 def _default_problem(domain: DomainSpec, nu: ScalarField) -> RiccatiProblem:
     return RiccatiProblem(nu, domain, AntiderivativeConfig(domain.base))
 
 
-def _run_riccati_residual(cfg: RunConfig):
+def _run_riccati_residual(cfg: RunConfig, tol: float):
     sol = _oracle(cfg, "oracle", "exp_family nu=1 theta=0.9272952180016123")
     prob = sol.problem()
     Q = log_derivative(sol.u)
     resid = riccati_residual(Q, prob)
     residual = max(max_abs(resid), max_abs(schrodinger_residual(sol.u, prob)))
-    result = IdentityResult(
-        "riccati-residual",
-        residual,
-        cfg.tolerance or 1e-10,
-        [(float(prob.domain.nx), residual)],
-    )
+    result = IdentityResult("riccati-residual", residual, tol, [(float(prob.domain.nx), residual)])
     return result, {"riccati_residual_re": resid.re, "riccati_residual_im": resid.im}
 
 
-def _run_darboux(cfg: RunConfig):
-    domain = cfg.domain or DomainSpec(0, 1, 0, 1, 41, 41, Point(0, 0))
-    f = _load_field(cfg.f_spec or "exp(x)", domain)
-    u = _load_field(cfg.u_spec or "exp(0.6*x+0.8*y)", domain)
-    nu = _load_field(cfg.nu_spec or "1", domain)
+def _run_darboux(cfg: RunConfig, tol: float):
+    domain = cfg.domain or _UNIT_SQUARE
+    f = _load(cfg.f, "exp(x)", domain)
+    u = _load(cfg.u, "exp(0.6*x+0.8*y)", domain)
+    nu = _load(cfg.nu, "1", domain)
     prob = _default_problem(domain, nu)
     v = darboux_v_from_u(u, f, prob)
     eta = darboux_potential_eta(f, prob)
@@ -400,11 +275,10 @@ def _run_darboux(cfg: RunConfig):
     xg, yg = domain.mesh(21, 21)
     r2 = float(np.max(np.abs(u_back(xg, yg) - alpha * f(xg, yg) - u(xg, yg))))
     residual = max(r1, r2)
-    result = IdentityResult("darboux", residual, cfg.tolerance or 1e-8, [(21.0, residual)])
-    return result, {"darboux_conjugate": v}
+    return IdentityResult("darboux", residual, tol, [(21.0, residual)]), {"darboux_conjugate": v}
 
 
-def _run_euler1(cfg: RunConfig):
+def _run_euler1(cfg: RunConfig, tol: float):
     sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0")
     sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", sol0.domain)
     prob = sol0.problem()
@@ -415,13 +289,13 @@ def _run_euler1(cfg: RunConfig):
     xg, yg = prob.domain.mesh(15, 15)
     r2 = float(np.max(np.abs(Q_back(xg, yg) - sol1.Q(xg, yg))))
     residual = max(r1, r2)
-    result = IdentityResult("euler1", residual, cfg.tolerance or 1e-8, [(15.0, residual)])
+    result = IdentityResult("euler1", residual, tol, [(15.0, residual)])
     return result, {"euler1_W_re": W.re, "euler1_W_im": W.im}
 
 
-def _run_euler2(cfg: RunConfig):
-    domain = cfg.domain or DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
-    W = _parse_w(cfg.w_spec or "expz", domain)
+def _run_euler2(cfg: RunConfig, tol: float):
+    domain = cfg.domain or _CENTRED_SQUARE
+    W = cfg.w(domain) if cfg.w else analytic_exp(domain)
     if cfg.domain is not None:
         region = cfg.domain
     else:
@@ -429,106 +303,190 @@ def _run_euler2(cfg: RunConfig):
         # spot, so truncation and coefficient noise both stay below tolerance
         h = 0.28
         region = DomainSpec(cfg.z0.x - h, cfg.z0.x + h, cfg.z0.y - h, cfg.z0.y + h, 33, 33)
-    result = euler_second_baseline(
-        W, cfg.z0, cfg.n_terms, region=region, tolerance=cfg.tolerance or 1e-8
-    )
-    return result, {}
+    return euler_second_baseline(W, cfg.z0, cfg.n_terms, region=region, tolerance=tol), {}
 
 
-def _run_picard(cfg: RunConfig):
+def _run_picard(cfg: RunConfig, tol: float):
     defaults = {
         "oracle": "separable nu1=1 nu2=0 branch1=cosh shift1=1",
         "oracle_b": "separable nu1=0 nu2=1 branch2=cosh shift2=1",
         "oracle_c": "exp_family nu=1 theta=0",
         "oracle_d": "exp_family nu=1 theta=0.9272952180016123",
     }
-    domain = cfg.domain or DomainSpec(0, 1, 0, 1, 41, 41, Point(0, 0))
+    domain = cfg.domain or _UNIT_SQUARE
     sols = [_oracle(cfg, key, spec, domain) for key, spec in defaults.items()]
-    prob = sols[0].problem()
-    result = picard_identity(*(s.Q for s in sols), prob, tolerance=cfg.tolerance or 1e-8)
-    return result, {}
+    return picard_identity(*(s.Q for s in sols), sols[0].problem(), tolerance=tol), {}
 
 
-def _run_cauchy_riccati(cfg: RunConfig):
-    domain = cfg.domain or DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
+def _run_cauchy_riccati(cfg: RunConfig, tol: float):
+    domain = cfg.domain or _CENTRED_SQUARE
     sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0", domain)
     sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", domain)
-    gamma = _parse_contour(cfg.contour_spec or "circle 0 0 1 256", base=domain.base)
-    prob = sol0.problem()
     result = cauchy_riccati(
-        sol0.Q, sol1.Q, gamma, prob, tolerance=cfg.tolerance or 1e-10, refine=cfg.refine
+        sol0.Q, sol1.Q, cfg.contour, sol0.problem(), tolerance=tol, refine=cfg.refine
     )
     return result, {}
 
 
-def _run_cauchy_schrodinger(cfg: RunConfig):
-    domain = cfg.domain or DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
-    f = _load_field(cfg.f_spec or "exp(x)", domain)
-    u = _load_field(cfg.u_spec or "exp(0.6*x+0.8*y)", domain)
-    nu = _load_field(cfg.nu_spec or "1", domain)
-    gamma = _parse_contour(cfg.contour_spec or "circle 0 0 1 256", base=domain.base)
+def _run_cauchy_schrodinger(cfg: RunConfig, tol: float):
+    domain = cfg.domain or _CENTRED_SQUARE
+    f = _load(cfg.f, "exp(x)", domain)
+    u = _load(cfg.u, "exp(0.6*x+0.8*y)", domain)
+    nu = _load(cfg.nu, "1", domain)
     prob = _default_problem(domain, nu)
-    result = cauchy_schrodinger(
-        f, u, gamma, prob, tolerance=cfg.tolerance or 1e-10, refine=cfg.refine
-    )
-    return result, {}
+    return cauchy_schrodinger(f, u, cfg.contour, prob, tolerance=tol, refine=cfg.refine), {}
 
 
-def _run_laplace(cfg: RunConfig):
-    domain = cfg.domain or DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
-    u = _load_field(cfg.u_spec or "x**2-y**2", domain)
-    f = _load_field(cfg.f_spec or "4+x", domain)
-    gamma = _parse_contour(cfg.contour_spec or "circle 0 0 1 256", base=domain.base)
-    tol = cfg.tolerance or 1e-10
-    r1 = cauchy_laplace_reductions(u, gamma, kind="derivative", tolerance=tol, refine=cfg.refine)
-    r2 = cauchy_laplace_reductions(f, gamma, kind="reciprocal", tolerance=tol, refine=cfg.refine)
+def _run_laplace(cfg: RunConfig, tol: float):
+    domain = cfg.domain or _CENTRED_SQUARE
+    u = _load(cfg.u, "x**2-y**2", domain)
+    f = _load(cfg.f, "4+x", domain)
+    gamma, refine = cfg.contour, cfg.refine
+    r1 = cauchy_laplace_reductions(u, gamma, kind="derivative", tolerance=tol, refine=refine)
+    r2 = cauchy_laplace_reductions(f, gamma, kind="reciprocal", tolerance=tol, refine=refine)
     residual = max(r1.residual, r2.residual)
     table = r1.refinement_table + r2.refinement_table
     return IdentityResult("laplace-reductions", residual, tol, table), {}
 
 
-_RUNNERS = {
-    "riccati-residual": _run_riccati_residual,
-    "darboux": _run_darboux,
-    "euler1": _run_euler1,
-    "euler2-baseline": _run_euler2,
-    "picard": _run_picard,
-    "cauchy-riccati": _run_cauchy_riccati,
-    "cauchy-schrodinger": _run_cauchy_schrodinger,
-    "laplace-reductions": _run_laplace,
+# case -> (runner, default tolerance); `case = all` runs them in name order
+_CASE_TABLE = {
+    "riccati-residual": (_run_riccati_residual, 1e-10),
+    "darboux": (_run_darboux, 1e-8),
+    "euler1": (_run_euler1, 1e-8),
+    "euler2-baseline": (_run_euler2, 1e-8),
+    "picard": (_run_picard, 1e-8),
+    "cauchy-riccati": (_run_cauchy_riccati, 1e-10),
+    "cauchy-schrodinger": (_run_cauchy_schrodinger, 1e-10),
+    "laplace-reductions": (_run_laplace, 1e-10),
+}
+CASES = (*_CASE_TABLE, "all")
+
+# config key -> converter; the keys are the whole config vocabulary
+_PARSERS = {
+    "case": _checked(
+        str, lambda v: v in CASES, f"is an unknown case (choose from {', '.join(CASES)})"
+    ),
+    "domain": _bounds,
+    "base": _point,
+    **dict.fromkeys(_ORACLE_KEYS, _parse_oracle),
+    "f": _source,
+    "u": _source,
+    "nu": _source,
+    "w": _w,
+    "z0": _point,
+    "n_terms": _n_terms,
+    "contour": _contour,
+    "tolerance": _positive_real,
+    "refine": int,
 }
 
 
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate line-oriented config text, converting each value once."""
+    values: dict = {}
+    lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _PARSERS:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
+        try:
+            values[key] = _PARSERS[key](value)
+        except (ValueError, ToolkitError) as exc:
+            raise ConfigError(f"bad {key} {value!r}: {exc}", lineno) from None
+        lines[key] = lineno
+
+    if "case" not in values:
+        raise ConfigError("missing required key 'case'")
+    bounds, base = values.pop("domain", None), values.pop("base", None)
+    oracles = {key: values.pop(key) for key in _ORACLE_KEYS if key in values}
+    cfg = RunConfig(raw_text=text, oracles=oracles, **values)
+    if base is not None and bounds is None:
+        raise ConfigError("base needs a 'domain = ...' line", lines["base"])
+    if bounds is not None:
+        try:
+            cfg.domain = DomainSpec(*bounds, base)
+        except ToolkitError as exc:
+            raise ConfigError(f"bad domain: {exc}", lines["domain"]) from None
+    _check_refine(cfg, lines.get("refine", lines.get("contour")))
+    _validate_requirements(cfg)
+    return cfg
+
+
+def _check_refine(cfg: RunConfig, line: Optional[int] = None) -> None:
+    """refine >= 0, and the finest contour level stays within _MAX_CONTOUR_NODES."""
+    n = cfg.contour.resolution()
+    if cfg.refine < 0:
+        raise ConfigError(f"refine must be >= 0, got {cfg.refine}", line)
+    # every contour has resolution >= 1, so refine > 20 always overflows the cap
+    if cfg.refine > 20 or n << cfg.refine > _MAX_CONTOUR_NODES:
+        raise ConfigError(
+            f"refine = {cfg.refine} takes a contour of {n} nodes (per circle or polyline "
+            f"segment) past {_MAX_CONTOUR_NODES} nodes",
+            line,
+        )
+
+
+_NEEDS_DOMAIN = {"darboux", "euler2-baseline", "cauchy-schrodinger", "laplace-reductions"}
+
+
+def _validate_requirements(cfg: RunConfig) -> None:
+    if cfg.case in _NEEDS_DOMAIN and cfg.domain is None and (cfg.f or cfg.u or cfg.w):
+        raise ConfigError(
+            f"case {cfg.case} reads f, u or w, so it needs a "
+            "'domain = x_min x_max y_min y_max [nx ny]' line"
+        )
+    if cfg.case == "picard" and cfg.oracles and len(cfg.oracles) != 4:
+        raise ConfigError("picard needs four oracle lines (oracle, oracle_b, oracle_c, oracle_d)")
+
+
 def run(cfg: RunConfig, dump_dir: Optional[str] = None) -> dict:
-    """Execute the configured case (or the whole default suite) and build a report."""
-    cases = sorted(_RUNNERS) if cfg.case == "all" else [cfg.case]
+    """Execute the configured case (or the whole default suite) and build a report.
+
+    An exception in one case becomes that case's failed entry, with its class
+    name in ``error_type``; one that is not a ToolkitError also prints its
+    traceback to stderr.  Only an OSError (exit 3) ends the run.
+    """
+    cases = sorted(_CASE_TABLE) if cfg.case == "all" else [cfg.case]
     identities = []
-    overall = True
     for case in cases:
+        runner, default_tol = _CASE_TABLE[case]
+        tol = cfg.tolerance or default_tol
         start = time.perf_counter()
         try:
-            result, fields = _RUNNERS[case](cfg)
+            result, fields = runner(cfg, tol)
             entry = result.to_dict()
             entry["case"] = case
-        except ToolkitError as exc:
+        except OSError:
+            raise
+        except Exception as exc:
+            if not isinstance(exc, ToolkitError):  # a defect, not a verdict: keep its traceback
+                sys.excepthook(type(exc), exc, exc.__traceback__)
             entry = {
                 "case": case,
                 "residual": None,
-                "tolerance": cfg.tolerance,
+                "tolerance": tol,
                 "pass": False,
                 "refinement": [],
                 "reason": str(exc),
+                "error_type": type(exc).__name__,
             }
             fields = {}
         entry["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         if dump_dir and fields:
             _dump_fields(dump_dir, case, fields)
         identities.append(entry)
-        overall = overall and entry["pass"]
     return {
         "config": cfg.raw_text,
         "identities": identities,
-        "overall_pass": overall,
+        "overall_pass": all(entry["pass"] for entry in identities),
     }
 
 
@@ -546,6 +504,10 @@ def mask_timings(report: dict) -> dict:
     for entry in masked["identities"]:
         entry["elapsed_ms"] = 0.0
     return masked
+
+
+def _toolkit_error_names(cls: type = ToolkitError) -> set[str]:
+    return {cls.__name__}.union(*map(_toolkit_error_names, cls.__subclasses__()))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -572,11 +534,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         cfg = parse_config(text)
-    except (ConfigError, ExpressionError) as exc:
+        if args.refine is not None:
+            cfg.refine = args.refine
+            _check_refine(cfg)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.refine is not None:
-        cfg.refine = args.refine
 
     try:
         report = run(cfg, dump_dir=args.dump_fields)
@@ -594,6 +557,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 3
     else:
         print(payload)
+    toolkit_errors = _toolkit_error_names()
+    if any(e.get("error_type", "ToolkitError") not in toolkit_errors for e in report["identities"]):
+        return 4
     return 0 if report["overall_pass"] else 1
 
 

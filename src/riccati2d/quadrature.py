@@ -108,19 +108,14 @@ class Contour:
     def polyline(points: Sequence[tuple[float, float]], n_per_segment: int = 32) -> "Contour":
         if len(points) < 2:
             raise ContourError("polyline needs at least two vertices")
+        if n_per_segment < 1:
+            raise ContourError("polylines need at least one panel per segment")
         verts = tuple(Point(float(x), float(y)) for x, y in points)
         closed = (
             abs(verts[0].x - verts[-1].x) < 1e-14 and abs(verts[0].y - verts[-1].y) < 1e-14
         )
         return Contour(
-            kind="polyline", closed=closed, vertices=verts, n_per_segment=max(1, n_per_segment)
-        )
-
-    @staticmethod
-    def lpath(base: Point, end: Point, n_per_segment: int = 32) -> "Contour":
-        """Vertical segment at the base abscissa, then horizontal to the end point."""
-        return Contour.polyline(
-            [(base.x, base.y), (base.x, end.y), (end.x, end.y)], n_per_segment
+            kind="polyline", closed=closed, vertices=verts, n_per_segment=n_per_segment
         )
 
     def with_nodes(self, n_nodes: int) -> "Contour":
@@ -215,7 +210,7 @@ def _require_compatible(Phi: ComplexField, which: str, tol: float) -> None:
         raise CompatibilityError(which, residual, tol)
 
 
-def _lpath_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
+def _l_path_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
     """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c."""
     phi1, phi2 = Phi.re, Phi.im
     x0, y0 = cfg.base.x, cfg.base.y
@@ -240,7 +235,7 @@ def _antiderivative(
     """Expression field whose values come from L-path quadrature and whose
     partials are the exact d_x phi = 2 Phi1, d_y phi = sign * 2 Phi2."""
     leaf = ex.Given(
-        _lpath_value(Phi, cfg, sign),
+        _l_path_value(Phi, cfg, sign),
         lambda: (2.0 * Phi.re).to_expr(),
         lambda: (2.0 * sign * Phi.im).to_expr(),
         f"{name}[Phi]",

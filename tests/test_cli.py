@@ -87,6 +87,78 @@ def test_oracle_spec_validated_at_parse_time(spec):
     assert err.value.line == 2
 
 
+# each pair: a value just past its limit (rejected at its line) and the value at
+# the limit (accepted); nothing here is run, so no extreme value is ever evaluated
+@pytest.mark.parametrize(
+    "bad, good, line",
+    [
+        ("refine = -1", "refine = 0", 2),
+        ("refine = 13", "refine = 12", 2),  # default 256-node circle: 2**21 > 2**20 nodes
+        ("refine = 60", "refine = 12", 2),
+        ("contour = circle 0 0 1 1048577", "contour = circle 0 0 1 1048576", 2),
+        (
+            "contour = polyline -1 0 1 0 0 1 -1 0 65537\nrefine = 4",
+            "contour = polyline -1 0 1 0 0 1 -1 0 65536\nrefine = 4",
+            3,
+        ),
+        (
+            "contour = polyline -1 0 1 0 0 1 -1 0 0",
+            "contour = polyline -1 0 1 0 0 1 -1 0 1",
+            2,
+        ),
+        ("n_terms = -1", "n_terms = 0", 2),
+        ("n_terms = 128", "n_terms = 127", 2),
+        ("domain = 0 1 0 1 2048 2049", "domain = 0 1 0 1 2048 2048", 2),
+        ("tolerance = inf", "tolerance = 1e300", 2),
+        ("tolerance = nan", "tolerance = 1e-300", 2),
+    ],
+    ids=[
+        "refine-negative",
+        "refine-past-default-circle",
+        "refine-60",
+        "circle-nodes",
+        "polyline-segment-nodes",
+        "polyline-no-panels",
+        "n_terms-negative",
+        "n_terms-past-circle-nodes",
+        "domain-points",
+        "tolerance-inf",
+        "tolerance-nan",
+    ],
+)
+def test_numeric_values_range_checked_at_parse_time(bad, good, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"case = all\n{bad}\n")
+    assert err.value.line == line
+    parse_config(f"case = all\n{good}\n")
+
+
+def test_refine_flag_range_checked(tmp_path):
+    cfg = write(tmp_path, "ok.cfg", "case = cauchy-riccati\n")
+    assert main(["--config", cfg, "--refine", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("case = darboux\ndomain = 0 1 0 1\nbase = 5 5\n", 2),  # base outside the rectangle
+        ("case = darboux\nbase = 0.5 0.5\n", 2),  # base without a domain
+    ],
+    ids=["base-outside-domain", "base-without-domain"],
+)
+def test_bad_base_is_a_config_error(tmp_path, text, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert main(["--config", write(tmp_path, "base.cfg", text)]) == 2
+
+
+def test_lpath_contour_rejected():
+    """An L-path from the base is never closed, so it is not a contour kind."""
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_config("case = cauchy-riccati\ncontour = lpath 1 1\n")
+
+
 # ---------------------------------------------------------------------------
 # run / report
 # ---------------------------------------------------------------------------
@@ -116,6 +188,31 @@ def test_open_contour_reported_as_failure_with_reason():
     assert not entry["pass"]
     assert "closed" in entry["reason"]
     assert not report["overall_pass"]
+
+
+def test_failed_case_reports_its_tolerance(tmp_path):
+    text = "case = cauchy-riccati\ncontour = polyline -1 0 1 0\n"
+    entry = run(parse_config(text))["identities"][0]
+    assert entry["tolerance"] == 1e-10  # the case default, not null
+    assert entry["error_type"] == "ContourError"
+    out = str(tmp_path / "r.json")
+    assert main(["--config", write(tmp_path, "open.cfg", text), "--out", out]) == 1
+
+
+def test_unexpected_exception_contained_per_case(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr("riccati2d.cli.euler_second_baseline", broken)
+    report = run(parse_config("case = all\n"))
+    entries = {e["case"]: e for e in report["identities"]}
+    assert len(entries) == 8
+    assert sum(e["pass"] for e in entries.values()) == 7
+    assert entries["euler2-baseline"]["error_type"] == "ValueError"
+    assert entries["euler2-baseline"]["reason"] == "injected"
+    assert "ValueError: injected" in capsys.readouterr().err  # the traceback is kept
+    out = str(tmp_path / "r.json")
+    assert main(["--config", write(tmp_path, "all.cfg", "case = all\n"), "--out", out]) == 4
 
 
 def test_determinism_modulo_timings():
