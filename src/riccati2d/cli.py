@@ -105,7 +105,8 @@ _real = _checked(float, math.isfinite, "is not finite")
 _positive_real = _checked(_real, lambda v: v > 0, "is not positive")
 _nonnegative_real = _checked(_real, lambda v: v >= 0, "is negative")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "is negative")
-_n_terms = _checked(
+# n_terms, and the N of w = zpow N: a degree past the circle's nodes gives no verdict
+_degree = _checked(
     int, lambda v: 0 <= v < TAYLOR_CIRCLE_NODES, f"is outside 0..{TAYLOR_CIRCLE_NODES - 1}"
 )
 _branch = _checked(str, lambda v: v in ("exp", "cosh"), "is not exp or cosh")
@@ -154,7 +155,7 @@ def _w(text: str) -> Callable[[DomainSpec], ComplexField]:
     if parts == ["expz"]:
         return lambda domain: analytic_exp(domain)
     if len(parts) == 2 and parts[0] == "zpow":
-        n = _nonnegative_int(parts[1])
+        n = _degree(parts[1])
         return lambda domain: analytic_power(n, domain)
     raise ValueError("use 'expz' or 'zpow N'")
 
@@ -240,6 +241,10 @@ def _oracle(
 
 _UNIT_SQUARE = DomainSpec(0, 1, 0, 1, 41, 41, Point(0, 0))
 _CENTRED_SQUARE = DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
+# euler2-baseline without a domain line tests on the square z0 +- h: comfortably
+# inside the coefficient circle's convergence sweet spot, so truncation and
+# coefficient noise both stay below tolerance
+_TEST_HALF_WIDTH = 0.28
 
 
 def _load(source: Optional[_Source], default: str, domain: DomainSpec) -> ScalarField:
@@ -299,9 +304,7 @@ def _run_euler2(cfg: RunConfig, tol: float):
     if cfg.domain is not None:
         region = cfg.domain
     else:
-        # square comfortably inside the coefficient circle's convergence sweet
-        # spot, so truncation and coefficient noise both stay below tolerance
-        h = 0.28
+        h = _TEST_HALF_WIDTH
         region = DomainSpec(cfg.z0.x - h, cfg.z0.x + h, cfg.z0.y - h, cfg.z0.y + h, 33, 33)
     return euler_second_baseline(W, cfg.z0, cfg.n_terms, region=region, tolerance=tol), {}
 
@@ -375,7 +378,7 @@ _PARSERS = {
     "nu": _source,
     "w": _w,
     "z0": _point,
-    "n_terms": _n_terms,
+    "n_terms": _degree,
     "contour": _contour,
     "tolerance": _positive_real,
     "refine": int,
@@ -416,6 +419,8 @@ def parse_config(text: str) -> RunConfig:
         except ToolkitError as exc:
             raise ConfigError(f"bad domain: {exc}", lines["domain"]) from None
     _check_refine(cfg, lines.get("refine", lines.get("contour")))
+    if "z0" in lines:
+        _check_z0(cfg, lines["z0"])
     _validate_requirements(cfg)
     return cfg
 
@@ -430,6 +435,21 @@ def _check_refine(cfg: RunConfig, line: Optional[int] = None) -> None:
         raise ConfigError(
             f"refine = {cfg.refine} takes a contour of {n} nodes (per circle or polyline "
             f"segment) past {_MAX_CONTOUR_NODES} nodes",
+            line,
+        )
+
+
+def _check_z0(cfg: RunConfig, line: int) -> None:
+    """z0 strictly inside the rectangle W is built on, and so is the default test square."""
+    dom = cfg.domain or _CENTRED_SQUARE
+    h = 0.0 if cfg.domain else _TEST_HALF_WIDTH
+    x, y = cfg.z0.x, cfg.z0.y
+    margin = min(x - dom.x_min, dom.x_max - x, y - dom.y_min, dom.y_max - y)
+    if not (margin > 0 and margin >= h):
+        where = f"has its test square z0 +- {h} outside the default" if h else "is not inside the"
+        raise ConfigError(
+            f"z0 = ({x:g}, {y:g}) {where} domain "
+            f"[{dom.x_min:g}, {dom.x_max:g}] x [{dom.y_min:g}, {dom.y_max:g}]",
             line,
         )
 
@@ -547,7 +567,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
 
-    payload = json.dumps(report, indent=2)
+    payload = json.dumps(report, indent=2, allow_nan=False)  # non-finite values are null
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,12 +6,16 @@ are exact (structural differentiation with light constant folding), which is
 what makes the expression backend usable as ground truth for the
 finite-difference one.  A ``Given`` leaf stands for a field outside that
 grammar (an antiderivative, grid samples): it evaluates by its own rule and
-differentiates to the partials attached to it.
+differentiates to the partials attached to it.  Text is parsed by Python's
+``ast`` module; a whitelist maps the allowed nodes onto the trees.
 """
 from __future__ import annotations
 
+import ast
+import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -309,135 +313,63 @@ def zpow_parts(n: int, x0: float = 0.0, y0: float = 0.0) -> tuple[Expr, Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent over  + - * / **  with exp/sin/cos/sinh/cosh,
-# coordinates x, y and the constant pi.
+# Parser: Python's own, then a whitelist onto the folding constructors.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[+\-*/()]))"
-)
+MAX_DEPTH = 100  # deeper trees outgrow the recursion limit once differentiated
 
 _FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos, "sinh": Sinh, "cosh": Cosh}
-_CONSTANTS = {"pi": math.pi, "e": math.e}
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), pos))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), pos))
-        else:
-            tokens.append(("op", m.group("op"), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} at position {pos} in {self.text!r}")
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"trailing input {val!r} at position {pos}")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                e = add(e, rhs if val == "+" else neg(rhs))
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.unary()
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return neg(self.unary())
-        if kind == "op" and val == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "**":
-            self.take()
-            exponent = self.unary()
-            if not isinstance(exponent, Const) or not float(exponent.value).is_integer():
-                raise ExpressionError(
-                    f"exponent at position {pos} must be an integer constant"
-                )
-            return powi(base, int(exponent.value))
-        return base
-
-    def atom(self) -> Expr:
-        kind, val, pos = self.take()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "name":
-            if val in ("x", "y"):
-                return Var(val)
-            if val in _CONSTANTS:
-                return Const(_CONSTANTS[val])
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return _FUNCTIONS[val](arg)
-            raise ExpressionError(f"unknown name {val!r} at position {pos}")
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ExpressionError(f"unexpected token {val!r} at position {pos} in {self.text!r}")
+_NAMES = {"x": X, "y": Y, "pi": Const(math.pi), "e": Const(math.e)}
+_UNARY = {ast.USub: neg, ast.UAdd: lambda a: a}
+_BINARY = {ast.Add: add, ast.Sub: lambda a, b: add(a, neg(b)), ast.Mult: mul, ast.Div: div}
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# one line of printable ASCII, without what the AST would not show: comments,
+# line continuations, and non-ASCII names (Python folds them onto ASCII ones)
+_FOREIGN = re.compile(r"[^ -~\t\f]|[#\\]")
 
 
 def parse_expression(text: str) -> Expr:
-    """Parse expression text such as ``exp(0.6*x + 0.8*y)`` into a tree."""
-    if not text.strip():
+    """Parse text such as ``exp(0.6*x + 0.8*y)``, a subset of Python's expressions:
+    decimal numbers, x, y, pi, e, ``+ - * /``, ``**`` with an integer constant
+    exponent, and one-argument calls of exp, sin, cos, sinh and cosh."""
+    text = text.strip()
+    if not text:
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad.group()!r} at column {bad.start()}")
+    try:
+        with warnings.catch_warnings():  # "1if x else 2" warns before it is rejected
+            warnings.simplefilter("ignore")
+            return _build(ast.parse(text, mode="eval").body, text, 1)
+    except SyntaxError as exc:
+        raise ExpressionError(f"{exc.msg} at column {(exc.offset or 1) - 1}") from None
+    except (RecursionError, MemoryError):  # MemoryError: the parser's own stack overflowed
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels") from None
+    except (OverflowError, ZeroDivisionError) as exc:  # a constant raised to a power
+        raise ExpressionError(f"constant power out of range: {exc}") from None
+
+
+def _build(node: ast.expr, text: str, depth: int) -> Expr:
+    """Map a whitelisted node of Python's AST, ``depth`` levels down, onto a tree."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+    sub = functools.partial(_build, text=text, depth=depth + 1)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](sub(node.left), sub(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](sub(node.operand))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, exponent = sub(node.left), sub(node.right)
+        if not isinstance(exponent, Const) or not exponent.value.is_integer():
+            raise ExpressionError(f"exponent at column {node.right.col_offset} must be an integer")
+        return powi(base, int(exponent.value))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS:
+        if len(node.args) == 1 and not node.keywords:
+            return _FUNCTIONS[node.func.id](sub(node.args[0]))
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    segment = text[node.col_offset : node.end_col_offset]  # one ASCII line: columns are indices
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        return Const(float(segment))
+    raise ExpressionError(f"unsupported {segment!r} at column {node.col_offset}")

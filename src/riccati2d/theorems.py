@@ -59,12 +59,13 @@ class IdentityResult:
         return self.residual < self.tolerance
 
     def to_dict(self) -> dict:
+        """Report entry; a non-finite residual is None, so the report stays strict JSON."""
         return {
             "case": self.name,
-            "residual": self.residual,
+            "residual": self.residual if math.isfinite(self.residual) else None,
             "tolerance": self.tolerance,
             "pass": self.passed,
-            "refinement": [[r, v] for r, v in self.refinement_table],
+            "refinement": [[r, v if math.isfinite(v) else None] for r, v in self.refinement_table],
         }
 
 

@@ -111,6 +111,7 @@ def test_oracle_spec_validated_at_parse_time(spec):
         ("domain = 0 1 0 1 2048 2049", "domain = 0 1 0 1 2048 2048", 2),
         ("tolerance = inf", "tolerance = 1e300", 2),
         ("tolerance = nan", "tolerance = 1e-300", 2),
+        ("w = zpow 128", "w = zpow 127", 2),
     ],
     ids=[
         "refine-negative",
@@ -124,6 +125,7 @@ def test_oracle_spec_validated_at_parse_time(spec):
         "domain-points",
         "tolerance-inf",
         "tolerance-nan",
+        "zpow-past-circle-nodes",
     ],
 )
 def test_numeric_values_range_checked_at_parse_time(bad, good, line):
@@ -151,6 +153,24 @@ def test_bad_base_is_a_config_error(tmp_path, text, line):
         parse_config(text)
     assert err.value.line == line
     assert main(["--config", write(tmp_path, "base.cfg", text)]) == 2
+
+
+@pytest.mark.parametrize("z0, ok", [("5 5", False), ("1.1 0", False), ("0.2 0.1", True)])
+def test_z0_checked_against_the_domain(tmp_path, z0, ok):
+    """Without a domain line, W lives on [-1.2, 1.2]^2 and the test square is z0 +- 0.28."""
+    text = f"case = euler2-baseline\nz0 = {z0}\n"
+    if ok:
+        parse_config(text)
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == 2
+    assert main(["--config", write(tmp_path, "z0.cfg", text)]) == 2
+
+
+def test_deeply_nested_expression_is_a_config_error(tmp_path):
+    text = "case = darboux\ndomain = 0 1 0 1\nf = " + "(" * 250 + "x+1" + ")" * 250 + "\n"
+    assert main(["--config", write(tmp_path, "deep.cfg", text)]) == 2
 
 
 def test_lpath_contour_rejected():
@@ -313,6 +333,18 @@ def test_nan_residual_fails_its_gate():
         entry = run(parse_config(text))["identities"][0]
     assert not entry["pass"]
     assert entry["reason"].startswith("f is not a solution")
+
+
+def test_non_finite_residual_is_null_in_strict_json(tmp_path):
+    """inf - inf along the contour gives a NaN residual: written as null, never as NaN."""
+    text = "case = laplace-reductions\ndomain = -1.2 1.2 -1.2 1.2\nu = 1e308*x+1e308*y\n"
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        assert main(["--config", write(tmp_path, "nan.cfg", text), "--out", str(out)]) == 1
+    payload = out.read_text()
+    assert "NaN" not in payload and "Infinity" not in payload
+    entry = json.loads(payload)["identities"][0]
+    assert entry["residual"] is None and not entry["pass"]
 
 
 def test_every_named_case_runs_clean(tmp_path):

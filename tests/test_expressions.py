@@ -26,6 +26,12 @@ CASES = [
     "(x + 1)**3 / (y + 2)",
     "x**2 - y**2",
     "pi * x - e",
+    "-x**2",
+    "2**3**2",
+    "x**-2",
+    "2*-x",
+    ".5*x + 5.*y",
+    "1E+2*x",
 ]
 
 
@@ -68,10 +74,31 @@ def test_power_requires_integer_exponent():
         parse_expression("x**y")
 
 
-@pytest.mark.parametrize("text", ["exp(x", "x +", "2x", "foo(x)", "x ** ", "@", ""])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(x", "x +", "2x", "foo(x)", "x ** ", "@", "",
+        # Python syntax outside the grammar
+        "0x10", "1_000", "1j", "x < y", "x.real", "x[0]", "exp(x=1)", "exp(*x)", "lambda: x",
+        "(x := 1)", "True", "'x'", "x # 1", "2**10000", "0**-1",
+        pytest.param("\uff58 + 1", id="fullwidth-x"),
+        pytest.param("(" * 250 + "x+1" + ")" * 250, id="parens-250-deep"),
+        pytest.param("1" + "+x" * 2999, id="sum-3000-terms"),
+    ],
+)
 def test_parse_errors(text):
     with pytest.raises(ExpressionError):
         parse_expression(text)
+
+
+def test_nesting_depth_bounded():
+    """MAX_DEPTH levels parse; one more is an ExpressionError, not a RecursionError later."""
+    n = ex.MAX_DEPTH
+    assert parse_expression("1" + "+x" * (n - 1)).ev(2.0, 0.0) == 1 + 2 * (n - 1)
+    with pytest.raises(ExpressionError, match="nested deeper"):
+        parse_expression("1" + "+x" * n)
+    with pytest.raises(ExpressionError, match="nested deeper"):
+        parse_expression("-" * n + "x")
 
 
 def test_division_singularity_guard():
