@@ -11,6 +11,7 @@ from .errors import (
     NonvanishingError,
     NotASolutionError,
     ParameterError,
+    QuadratureError,
     ResolutionError,
     SingularityError,
     ToolkitError,

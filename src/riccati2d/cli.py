@@ -62,6 +62,7 @@ from .theorems import (
 
 _MAX_GRID_POINTS = 2**22  # nx * ny of a domain
 _MAX_CONTOUR_NODES = 2**20  # circle nodes, or nodes per polyline segment, at the finest level
+_MAX_POLYLINE_VERTICES = 2**10  # line integrals loop once per polyline segment
 
 _Source = Callable[[DomainSpec], ScalarField]
 _ORACLE_KEYS = ("oracle", "oracle_b", "oracle_c", "oracle_d")
@@ -168,6 +169,8 @@ def _contour(text: str) -> Contour:
     if parts[:1] == ["polyline"]:
         coords = parts[1:]
         n_per = [int(coords.pop())] if len(coords) % 2 else []
+        if len(coords) > 2 * _MAX_POLYLINE_VERTICES:
+            raise ValueError(f"more than {_MAX_POLYLINE_VERTICES} polyline vertices")
         xy = list(map(_real, coords))
         return Contour.polyline(list(zip(xy[0::2], xy[1::2])), *n_per)
     raise ValueError("use 'circle CX CY R [N]' or 'polyline X1 Y1 X2 Y2 ... [N]'")
@@ -277,8 +280,8 @@ def _run_darboux(cfg: RunConfig, tol: float):
     r1 = max_abs(darboux_resid, nx=21, ny=21)
     u_back = darboux_u_from_v(v, f, prob)
     alpha = (u_back.evaluate(domain.base) - u.evaluate(domain.base)) / f.evaluate(domain.base)
-    xg, yg = domain.mesh(21, 21)
-    r2 = float(np.max(np.abs(u_back(xg, yg) - alpha * f(xg, yg) - u(xg, yg))))
+    xs, ys = domain.axes(21, 21)
+    r2 = float(np.max(np.abs(u_back(xs, ys) - alpha * f(xs, ys) - u(xs, ys))))
     residual = max(r1, r2)
     return IdentityResult("darboux", residual, tol, [(21.0, residual)]), {"darboux_conjugate": v}
 
@@ -291,8 +294,8 @@ def _run_euler1(cfg: RunConfig, tol: float):
     f0 = exp_reconstruct(sol0.Q, prob)
     r1 = max_abs(vekua_residual(W, f0), nx=15, ny=15)
     Q_back = euler_first_Q_from_W(W)
-    xg, yg = prob.domain.mesh(15, 15)
-    r2 = float(np.max(np.abs(Q_back(xg, yg) - sol1.Q(xg, yg))))
+    xs, ys = prob.domain.axes(15, 15)
+    r2 = float(np.max(np.abs(Q_back(xs, ys) - sol1.Q(xs, ys))))
     residual = max(r1, r2)
     result = IdentityResult("euler1", residual, tol, [(15.0, residual)])
     return result, {"euler1_W_re": W.re, "euler1_W_im": W.im}
@@ -421,6 +424,8 @@ def parse_config(text: str) -> RunConfig:
     _check_refine(cfg, lines.get("refine", lines.get("contour")))
     if "z0" in lines:
         _check_z0(cfg, lines["z0"])
+    elif cfg.case in ("euler2-baseline", "all"):
+        _check_z0(cfg, lines.get("domain"), "the default z0")
     _validate_requirements(cfg)
     return cfg
 
@@ -439,7 +444,7 @@ def _check_refine(cfg: RunConfig, line: Optional[int] = None) -> None:
         )
 
 
-def _check_z0(cfg: RunConfig, line: int) -> None:
+def _check_z0(cfg: RunConfig, line: Optional[int], name: str = "z0") -> None:
     """z0 strictly inside the rectangle W is built on, and so is the default test square."""
     dom = cfg.domain or _CENTRED_SQUARE
     h = 0.0 if cfg.domain else _TEST_HALF_WIDTH
@@ -448,7 +453,7 @@ def _check_z0(cfg: RunConfig, line: int) -> None:
     if not (margin > 0 and margin >= h):
         where = f"has its test square z0 +- {h} outside the default" if h else "is not inside the"
         raise ConfigError(
-            f"z0 = ({x:g}, {y:g}) {where} domain "
+            f"{name} = ({x:g}, {y:g}) {where} domain "
             f"[{dom.x_min:g}, {dom.x_max:g}] x [{dom.y_min:g}, {dom.y_max:g}]",
             line,
         )

@@ -69,6 +69,10 @@ class ContourError(ToolkitError):
     """Invalid contour (too few nodes, open where closed is required, ...)."""
 
 
+class QuadratureError(ToolkitError):
+    """Segment quadrature gave a non-finite value or did not converge within MAX_PANELS."""
+
+
 class NotASolutionError(ToolkitError):
     """An input that must solve its equation fails the residual precondition."""
 

@@ -83,8 +83,9 @@ class DomainSpec:
     def ys(self, ny: Optional[int] = None) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, ny or self.ny)
 
-    def mesh(self, nx: Optional[int] = None, ny: Optional[int] = None, margin: int = 0):
-        """Meshgrid (X, Y) of sample points; ``margin`` trims that many cells per side."""
+    def axes(self, nx: Optional[int] = None, ny: Optional[int] = None, margin: int = 0):
+        """Sample abscissae of shape (1, nx) and ordinates of shape (ny, 1), which
+        broadcast to the mesh; ``margin`` trims that many cells per side."""
         xs = self.xs(nx)
         ys = self.ys(ny)
         if margin:
@@ -92,7 +93,12 @@ class DomainSpec:
                 raise ResolutionError("margin removes the whole sample grid")
             xs = xs[margin:-margin]
             ys = ys[margin:-margin]
-        return np.meshgrid(xs, ys)
+        return xs[None, :], ys[:, None]
+
+    def mesh(self, nx: Optional[int] = None, ny: Optional[int] = None, margin: int = 0):
+        """Meshgrid (X, Y) of the sample points of ``axes``, as dense arrays."""
+        xs, ys = self.axes(nx, ny, margin)
+        return np.meshgrid(xs[0], ys[:, 0])
 
     def contains(self, x, y, tol: float = 1e-12) -> bool:
         return bool(
@@ -136,13 +142,12 @@ class ScalarField:
         return self._values(np.asarray(x, float), np.asarray(y, float))
 
     def sample(self, nx: Optional[int] = None, ny: Optional[int] = None, margin: int = 0):
-        xg, yg = self.domain.mesh(nx, ny, margin)
-        return self._values(xg, yg)
+        return self._values(*self.domain.axes(nx, ny, margin))
 
     def to_grid(self, domain: Optional[DomainSpec] = None) -> "GridField":
         dom = domain or self.domain
-        xg, yg = dom.mesh()
-        return GridField(dom, np.asarray(self._values(xg, yg), float) + np.zeros_like(xg))
+        values = np.asarray(self._values(*dom.axes()), float)
+        return GridField(dom, values + np.zeros((dom.ny, dom.nx)))
 
     # arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -298,8 +303,8 @@ _NP_OPS = {
 def _combine(a: ScalarField, b: ScalarField, op: str) -> ScalarField:
     if isinstance(a, GridField) or isinstance(b, GridField):
         grid = a if isinstance(a, GridField) else b
-        xg, yg = grid.domain.mesh()
-        return GridField(grid.domain, _NP_OPS[op](a._values(xg, yg), b._values(xg, yg)))
+        xs, ys = grid.domain.axes()
+        return GridField(grid.domain, _NP_OPS[op](a._values(xs, ys), b._values(xs, ys)))
     return ExprField(a.domain, _EXPR_OPS[op](a.expr, b.expr))
 
 
@@ -458,11 +463,10 @@ def max_abs(f: FieldLike, nx=None, ny=None, margin: int = 0) -> float:
 
 
 def min_abs_location(f: FieldLike, nx=None, ny=None) -> tuple[float, Point]:
-    dom = f.domain
-    xg, yg = dom.mesh(nx, ny)
-    vals = np.abs(f(xg, yg))
-    k = int(np.argmin(vals))
-    return float(vals.flat[k]), Point(float(xg.flat[k]), float(yg.flat[k]))
+    xs, ys = f.domain.axes(nx, ny)
+    vals = np.abs(f.sample(nx, ny))
+    j, i = np.unravel_index(np.argmin(vals), vals.shape)
+    return float(vals[j, i]), Point(float(xs[0, i]), float(ys[j, 0]))
 
 
 def check_nonvanishing(f: FieldLike, name: str, threshold: float = NONVANISHING_EPS) -> None:

@@ -3,8 +3,14 @@
 The antiderivative operators integrate along the canonical L-path (vertical
 segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
-built around.  Segment quadrature is composite 8-point Gauss-Legendre with
-dyadic panel refinement.
+built around.  Mesh samples, whose abscissae and ordinates vary along
+different axes (as ``ScalarField.sample`` passes them), integrate each cell
+between neighbouring abscissae and each cell of the base column once and
+add the cells up with cumulative sums from the base; any other points
+(contour nodes, dense arrays, single points) get one adaptive L-path each.
+Segment quadrature is composite 8-point Gauss-Legendre with dyadic panel
+refinement until every point settles; a non-finite value, or no settling
+within MAX_PANELS panels, raises QuadratureError.
 """
 from __future__ import annotations
 
@@ -15,7 +21,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .errors import CompatibilityError, ContourError, DomainError, ParameterError
+from .errors import (
+    CompatibilityError,
+    ContourError,
+    DomainError,
+    ParameterError,
+    QuadratureError,
+)
 from .field import (
     ComplexField,
     DomainSpec,
@@ -29,7 +41,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 SEGMENT_REL_TOL = 1e-10
 MAX_PANELS = 2**14
-_MAX_BATCH = 8_000_000  # cap on evaluation-array size during refinement
+_MAX_BATCH = 1_000_000  # integrand points per evaluation chunk; bounds memory only
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,11 @@ def _composite_gl(fn, a, b, panels: int):
     """Composite Gauss-Legendre for int_a^b fn(s) ds with array bounds.
 
     ``a`` and ``b`` broadcast against each other; ``fn`` receives an array of
-    shape (panels*8,) + broadcast-shape and must broadcast accordingly.
+    shape (nodes,) + broadcast-shape and must broadcast accordingly.  The
+    node axis is evaluated in chunks of at most ``_MAX_BATCH`` points.  Each
+    chunk continues the running sum node by node, the order in which numpy
+    sums over the node axis, so chunking does not change the result (a single
+    point, which numpy sums pairwise, never needs a second chunk).
     """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
@@ -55,30 +71,42 @@ def _composite_gl(fn, a, b, panels: int):
     t = ((np.arange(panels)[:, None] + (_GL_NODES[None, :] + 1.0) / 2.0) / panels).reshape(-1)
     w = np.tile(_GL_WEIGHTS / (2.0 * panels), panels)
     expand = (slice(None),) + (None,) * len(shape)
-    s = a[None, ...] + t[expand] * (b - a)[None, ...]
-    vals = np.asarray(fn(s))
-    vals = np.broadcast_to(vals, s.shape)
-    return (b - a) * np.sum(w[expand] * vals, axis=0)
+    step = max(1, _MAX_BATCH // max(1, math.prod(shape)))
+    total = None
+    for lo in range(0, len(t), step):
+        s = a[None, ...] + t[lo : lo + step][expand] * (b - a)[None, ...]
+        vals = np.broadcast_to(np.asarray(fn(s)), s.shape)
+        terms = w[lo : lo + step][expand] * vals
+        if total is not None:
+            terms[0] += total
+        total = np.sum(terms, axis=0)
+    return (b - a) * total
 
 
 def adaptive_segment_integral(
     fn, a, b, rel_tol: float = SEGMENT_REL_TOL, max_panels: int = MAX_PANELS
 ):
-    """Dyadically refine the composite rule until the relative change stalls."""
-    size = int(np.prod(np.broadcast(np.asarray(a), np.asarray(b)).shape) or 1)
-    prev = None
-    panels = 1
-    while True:
+    """Dyadically refine the composite rule until every point's value settles.
+
+    A level is accepted when |v - v_prev| <= rel_tol * (|v| + 1) at every
+    point.  A non-finite estimate, or no acceptance by ``max_panels`` panels,
+    raises QuadratureError; no unconverged value is ever returned.
+    """
+    prev = _composite_gl(fn, a, b, 1)
+    panels, change = 1, np.inf
+    while np.all(np.isfinite(prev)) and panels < max_panels:
+        panels *= 2
         val = _composite_gl(fn, a, b, panels)
-        if prev is not None:
-            delta = float(np.max(np.abs(val - prev)))
-            scale = float(np.max(np.abs(val))) + 1.0
-            if delta <= rel_tol * scale:
-                return val
-        if panels >= max_panels or panels * 16 * size > _MAX_BATCH:
+        change = np.abs(val - prev)
+        if np.all(change <= rel_tol * (np.abs(val) + 1.0)):
             return val
         prev = val
-        panels *= 2
+    if not np.all(np.isfinite(prev)):
+        raise QuadratureError(f"segment quadrature gave a non-finite value at {panels} panels")
+    raise QuadratureError(
+        f"segment quadrature did not converge within {panels} panels: largest change "
+        f"{float(np.max(change)):.3e} at relative tolerance {rel_tol:g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +238,79 @@ def _require_compatible(Phi: ComplexField, which: str, tol: float) -> None:
         raise CompatibilityError(which, residual, tol)
 
 
+def _tensor_grid(x: np.ndarray, y: np.ndarray) -> bool:
+    """True for more than one point where x and y vary along different axes:
+    a row of abscissae and a column of ordinates that broadcast to a mesh."""
+    nd = max(x.ndim, y.ndim)
+    x_shape = (1,) * (nd - x.ndim) + x.shape
+    y_shape = (1,) * (nd - y.ndim) + y.shape
+    return x.size * y.size > 1 and all(p == 1 or q == 1 for p, q in zip(x_shape, y_shape))
+
+
+def _from_base(fn, a, b, base: int) -> np.ndarray:
+    """Integrals from knot ``base`` to every knot along the last axis, where
+    cell i = [a[..., i], b[..., i]] joins knots i and i + 1: one adaptive call
+    integrates every cell, and cumulative sums add them up outward from the base."""
+    if not np.size(a):  # a single knot
+        return np.zeros(np.shape(a)[:-1] + (1,))
+    cells = adaptive_segment_integral(fn, a, b)
+    right = np.cumsum(cells[..., base:], axis=-1)
+    left = -np.cumsum(cells[..., :base][..., ::-1], axis=-1)[..., ::-1]
+    return np.concatenate([left, np.zeros(cells.shape[:-1] + (1,)), right], axis=-1)
+
+
 def _l_path_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
-    """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c."""
+    """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c.
+
+    On a tensor grid each cell between consecutive distinct abscissae (the
+    base inserted) is integrated once for all rows together, and likewise
+    each cell of the base column; cumulative sums from the base give every
+    point.  Any other batch integrates a whole L-path per point.  The values
+    at the latest points are kept: a tree evaluates every occurrence of the
+    leaf at the same points.
+    """
     phi1, phi2 = Phi.re, Phi.im
     x0, y0 = cfg.base.x, cfg.base.y
     c = cfg.constant_c
+    latest = [None]  # (points, values)
 
-    def value(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
+    def on_mesh(x, y):
+        xk, xi = np.unique(np.append(x, x0), return_inverse=True)
+        yk, yi = np.unique(np.append(y, y0), return_inverse=True)
+        rows = yk[:, None]
+        cells = (len(yk), len(xk) - 1)
+        # a and b repeat along the rows, so the chunking sees every evaluation;
+        # the integrand reads one row of nodes, so it gets a tensor grid too
+        i1 = _from_base(
+            lambda s: phi1._values(s[:, :1], rows),
+            np.broadcast_to(xk[:-1], cells),
+            np.broadcast_to(xk[1:], cells),
+            xi[-1],
+        )
+        i2 = _from_base(lambda s: phi2._values(np.asarray(x0), s), yk[:-1], yk[1:], yi[-1])
+        xi = xi[:-1].reshape(x.shape)
+        yi = yi[:-1].reshape(y.shape)
+        return 2.0 * (i1[yi, xi] + sign * i2[yi]) + c
+
+    def per_point(x, y):
         x, y = np.broadcast_arrays(x, y)
         i1 = adaptive_segment_integral(
             lambda s: phi1._values(s, np.broadcast_to(y, s.shape)), np.full_like(x, x0), x
         )
         i2 = adaptive_segment_integral(lambda s: phi2._values(np.full_like(s, x0), s), y0, y)
         return 2.0 * (i1 + sign * i2) + c
+
+    def value(x, y):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        points = (x.shape, y.shape, x.tobytes(), y.tobytes())
+        hit = latest[0]
+        if hit is not None and hit[0] == points:
+            return hit[1]
+        values = np.asarray((on_mesh if _tensor_grid(x, y) else per_point)(x, y))
+        values.setflags(write=False)
+        latest[0] = (points, values)
+        return values
 
     return value
 

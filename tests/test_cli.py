@@ -108,10 +108,15 @@ def test_oracle_spec_validated_at_parse_time(spec):
         ),
         ("n_terms = -1", "n_terms = 0", 2),
         ("n_terms = 128", "n_terms = 127", 2),
-        ("domain = 0 1 0 1 2048 2049", "domain = 0 1 0 1 2048 2048", 2),
+        ("domain = -1 1 -1 1 2048 2049", "domain = -1 1 -1 1 2048 2048", 2),
         ("tolerance = inf", "tolerance = 1e300", 2),
         ("tolerance = nan", "tolerance = 1e-300", 2),
         ("w = zpow 128", "w = zpow 127", 2),
+        (
+            "contour = polyline " + " ".join(f"{k % 2} {k % 3}" for k in range(1025)),
+            "contour = polyline " + " ".join(f"{k % 2} {k % 3}" for k in range(1024)),
+            2,
+        ),
     ],
     ids=[
         "refine-negative",
@@ -126,6 +131,7 @@ def test_oracle_spec_validated_at_parse_time(spec):
         "tolerance-inf",
         "tolerance-nan",
         "zpow-past-circle-nodes",
+        "polyline-vertices",
     ],
 )
 def test_numeric_values_range_checked_at_parse_time(bad, good, line):
@@ -166,6 +172,18 @@ def test_z0_checked_against_the_domain(tmp_path, z0, ok):
         parse_config(text)
     assert err.value.line == 2
     assert main(["--config", write(tmp_path, "z0.cfg", text)]) == 2
+
+
+@pytest.mark.parametrize("case", ["euler2-baseline", "all"])
+def test_default_z0_checked_against_the_domain(tmp_path, case):
+    """Without a z0 line, z0 = (0, 0) must lie inside the domain line's rectangle."""
+    text = f"case = {case}\ndomain = 0 1 0 1\n"
+    with pytest.raises(ConfigError, match="default z0") as err:
+        parse_config(text)
+    assert err.value.line == 2
+    assert main(["--config", write(tmp_path, "z0.cfg", text)]) == 2
+    parse_config(f"case = {case}\ndomain = -1 1 -1 1\n")
+    parse_config("case = euler2-baseline\ndomain = 0 1 0 1\nz0 = 0.5 0.5\n")
 
 
 def test_deeply_nested_expression_is_a_config_error(tmp_path):
@@ -233,6 +251,25 @@ def test_unexpected_exception_contained_per_case(tmp_path, monkeypatch, capsys):
     assert "ValueError: injected" in capsys.readouterr().err  # the traceback is kept
     out = str(tmp_path / "r.json")
     assert main(["--config", write(tmp_path, "all.cfg", "case = all\n"), "--out", out]) == 4
+
+
+def test_quadrature_error_is_a_failure_entry(tmp_path, monkeypatch):
+    """An antiderivative whose integrand no panel count resolves fails its case."""
+    from riccati2d import ComplexField, constant_field, op_Abar
+
+    def unresolvable(u, f, prob):
+        d = prob.domain  # compatible: d_y 0 - d_x sin(1e7 y) = 0
+        Phi = ComplexField(constant_field(0.0, d), ExprField(d, "sin(1e7*y)"))
+        return op_Abar(Phi, prob.cfg)
+
+    monkeypatch.setattr("riccati2d.cli.darboux_v_from_u", unresolvable)
+    text = "case = darboux\n"
+    entry = run(parse_config(text))["identities"][0]
+    assert entry["error_type"] == "QuadratureError"
+    assert entry["pass"] is False and entry["residual"] is None
+    assert "did not converge within 16384 panels" in entry["reason"]
+    out = str(tmp_path / "r.json")
+    assert main(["--config", write(tmp_path, "q.cfg", text), "--out", out]) == 1
 
 
 def test_determinism_modulo_timings():

@@ -14,7 +14,9 @@ from riccati2d import (
     DomainSpec,
     ExprField,
     Point,
+    QuadratureError,
     compatibility_check,
+    d_z,
     line_integral_dz,
     max_abs,
     op_A,
@@ -209,3 +211,94 @@ def test_vanishing_partial_skips_quadrature(monkeypatch):
     u = exp_field(op_A(sol.Q, sol.problem().cfg))
     assert max_abs(u.dy()) == 0.0
     assert calls == []
+
+
+# phi = sin(7x)cosh(3y) + x cos(9y) on [0, 3]^2: op_A(d_z phi) = phi - phi(0, 0)
+_PHI = "sin(7*x)*cosh(3*y) + x*cos(9*y)"
+
+
+def _phi_antiderivative(n):
+    domain = DomainSpec(0.0, 3.0, 0.0, 3.0, n, n, Point(0.0, 0.0))
+    phi = ExprField(domain, _PHI)
+    return phi, op_A(d_z(phi), AntiderivativeConfig(domain.base))
+
+
+def test_value_independent_of_batch_size():
+    """A point alone and inside a batch of 600k copies of itself agree."""
+    _, A = _phi_antiderivative(41)
+    alone = float(A(2.9, 2.9))
+    batch = A(np.full(600_000, 2.9), np.full(600_000, 2.9))
+    assert np.max(np.abs(batch - alone)) <= 1e-12 * abs(alone)
+
+
+def test_mesh_antiderivative_accurate_at_801():
+    phi, A = _phi_antiderivative(801)
+    xg, yg = phi.domain.mesh()
+    exact = phi(xg, yg) - phi.evaluate(Point(0.0, 0.0))
+    assert np.max(np.abs(A.sample() - exact)) <= 1e-9
+
+
+def test_non_converging_integrand_raises():
+    with pytest.raises(QuadratureError, match="16384 panels"):
+        adaptive_segment_integral(lambda s: np.sin(1e7 * s), 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        adaptive_segment_integral(lambda s: np.full(s.shape, np.inf), 0.0, np.ones(3))
+
+
+def _count_quadrature(monkeypatch):
+    """Lists that collect one entry per adaptive call and the size of every
+    integrand batch."""
+    from riccati2d import quadrature
+
+    calls, points = [], []
+    inner = quadrature.adaptive_segment_integral
+
+    def counting(fn, *args, **kwargs):
+        calls.append(1)
+
+        def counted(s):
+            points.append(np.size(s))
+            return fn(s)
+
+        return inner(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_segment_integral", counting)
+    return calls, points
+
+
+def test_mesh_sample_integrates_each_cell_once(monkeypatch):
+    """Two quadrature calls for the whole mesh, and fewer integrand points than
+    the cheapest per-point L-paths (two integrals of 8 + 16 nodes per point)."""
+    calls, points = _count_quadrature(monkeypatch)
+    n = 201
+    _, A = _phi_antiderivative(n)
+    assert A.sample().shape == (n, n)
+    assert len(calls) == 2
+    assert sum(points) < 2 * 24 * n * n
+
+
+def test_repeated_leaf_integrates_once(monkeypatch):
+    """u = exp(A[Q]) occurs twice in u_x - 2 Q1 u; both occurrences share one evaluation."""
+    from riccati2d import exp_family, exp_field
+
+    sol = exp_family(1.0, 0.9272952180016123)
+    u = exp_field(op_A(sol.Q, sol.problem().cfg))
+    calls, _ = _count_quadrature(monkeypatch)
+    assert max_abs(u.dx() - 2.0 * sol.Q.re * u) < 1e-12
+    assert len(calls) == 2
+
+
+def test_tensor_grid_matches_per_point_values(unit_square):
+    """Broadcast axes and the dense mesh give the same values within quadrature error."""
+    cfg = AntiderivativeConfig(Point(0.3, 0.6))
+    envelope = ex.Exp(ex.Const(1.6) * ex.X + ex.Const(0.8) * ex.Y)
+    Phi = ComplexField(
+        ExprField(unit_square, ex.Const(-0.4) * envelope),
+        ExprField(unit_square, ex.Const(-0.2) * envelope),
+    )
+    phi = op_Abar(Phi, cfg)
+    xs, ys = unit_square.axes(9, 7)
+    on_axes = phi(xs, ys)
+    xg, yg = unit_square.mesh(9, 7)
+    np.testing.assert_allclose(on_axes, phi(xg, yg), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(phi(xs.T, ys.T), phi(xg.T, yg.T), rtol=0, atol=1e-12)
