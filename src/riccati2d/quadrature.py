@@ -8,9 +8,14 @@ different axes (as ``ScalarField.sample`` passes them), integrate each cell
 between neighbouring abscissae and each cell of the base column once and
 add the cells up with cumulative sums from the base; any other points
 (contour nodes, dense arrays, single points) get one adaptive L-path each.
-Segment quadrature is composite 8-point Gauss-Legendre with dyadic panel
-refinement until every point settles; a non-finite value, or no settling
-within MAX_PANELS panels, raises QuadratureError.
+Segment quadrature is the embedded Gauss-Kronrod pair G7/K15 (QUADPACK's
+``qk15``), whose 15 nodes include the 7 Gauss nodes, so each node is
+evaluated once per level.  On one panel a point settles when K15 and G7
+agree; after that the panels double and a point settles when K15 agrees with
+K15 on half as many panels.  Each point keeps the K15 value of the first level
+at which it settled, so its value does not depend on the other points of its
+batch.  A non-finite value, or a point still unsettled at MAX_PANELS panels,
+raises QuadratureError.
 """
 from __future__ import annotations
 
@@ -39,6 +44,36 @@ from .field import (
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+# QUADPACK qk15 on [-1, 1], each panel's 7 Gauss nodes first: _G7_WEIGHTS on
+# _K15_NODES[:7] is 7-point Gauss-Legendre (exact to degree 13), and
+# _K15_WEIGHTS on all 15 nodes is its Kronrod extension (exact to degree 23)
+_K15_NODES = np.array([
+    -0.949107912342758524526189684047851, -0.741531185599394439863864773280788,
+    -0.405845151377397166906606412076961, 0.0,
+    0.405845151377397166906606412076961, 0.741531185599394439863864773280788,
+    0.949107912342758524526189684047851,
+    -0.991455371120812639206854697526329, -0.864864423359769072789712788640926,
+    -0.586087235467691130294144845693013, -0.207784955007898467600689403773245,
+    0.207784955007898467600689403773245, 0.586087235467691130294144845693013,
+    0.864864423359769072789712788640926, 0.991455371120812639206854697526329,
+])
+_K15_WEIGHTS = np.array([
+    0.063092092629978553290700663189204, 0.140653259715525918745189590510238,
+    0.190350578064785409913256402421014, 0.209482141084727828012999174891714,
+    0.190350578064785409913256402421014, 0.140653259715525918745189590510238,
+    0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970, 0.104790010322250183839876322541518,
+    0.169004726639267902826583426598550, 0.204432940075298892414161999234649,
+    0.204432940075298892414161999234649, 0.169004726639267902826583426598550,
+    0.104790010322250183839876322541518, 0.022935322010529224963732008058970,
+])
+_G7_WEIGHTS = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
+])
+
 SEGMENT_REL_TOL = 1e-10
 MAX_PANELS = 2**14
 _MAX_BATCH = 1_000_000  # integrand points per evaluation chunk; bounds memory only
@@ -55,58 +90,117 @@ class AntiderivativeConfig:
             raise ParameterError("compat_tol must be positive")
 
 
-def _composite_gl(fn, a, b, panels: int):
-    """Composite Gauss-Legendre for int_a^b fn(s) ds with array bounds.
+def _weighted_nodes(fn, a, b, t, *weights):
+    """Yields fn at the nodes a + t * (b - a), t in [0, 1], in chunks of at most
+    ``_MAX_BATCH`` points, each with the chunk's part of every weight vector
+    shaped to multiply it.
 
     ``a`` and ``b`` broadcast against each other; ``fn`` receives an array of
-    shape (nodes,) + broadcast-shape and must broadcast accordingly.  The
-    node axis is evaluated in chunks of at most ``_MAX_BATCH`` points.  Each
-    chunk continues the running sum node by node, the order in which numpy
-    sums over the node axis, so chunking does not change the result (a single
-    point, which numpy sums pairwise, never needs a second chunk).
+    shape (nodes,) + broadcast-shape and must broadcast accordingly.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
     shape = np.broadcast(a, b).shape
-    t = ((np.arange(panels)[:, None] + (_GL_NODES[None, :] + 1.0) / 2.0) / panels).reshape(-1)
-    w = np.tile(_GL_WEIGHTS / (2.0 * panels), panels)
     expand = (slice(None),) + (None,) * len(shape)
     step = max(1, _MAX_BATCH // max(1, math.prod(shape)))
-    total = None
     for lo in range(0, len(t), step):
         s = a[None, ...] + t[lo : lo + step][expand] * (b - a)[None, ...]
         vals = np.broadcast_to(np.asarray(fn(s)), s.shape)
-        terms = w[lo : lo + step][expand] * vals
+        yield (vals, *(w[lo : lo + step][expand] for w in weights))
+
+
+def _composite_gl(fn, a, b, panels: int):
+    """Composite Gauss-Legendre for int_a^b fn(s) ds, the fixed-panel rule of
+    polyline line integrals.  Each chunk of nodes continues the running sum
+    (numpy's node-order sum over a batch; a single point in one chunk is
+    summed pairwise)."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    t = ((np.arange(panels)[:, None] + (_GL_NODES[None, :] + 1.0) / 2.0) / panels).reshape(-1)
+    w = np.tile(_GL_WEIGHTS / (2.0 * panels), panels)
+    total = None
+    for vals, w_chunk in _weighted_nodes(fn, a, b, t, w):
+        terms = w_chunk * vals
         if total is not None:
             terms[0] += total
         total = np.sum(terms, axis=0)
     return (b - a) * total
 
 
+def _fold(terms, total):
+    """Sum of ``terms`` over the node axis, added node by node onto ``total``.
+
+    numpy adds a batch's node axis row by row but sums a single point's nodes
+    pairwise; a cumulative sum adds those in node order too.
+    """
+    if total is not None:
+        terms[0] += total
+    if terms[0].size == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return np.sum(terms, axis=0)
+
+
+def _gauss_kronrod(fn, a, b, panels: int):
+    """Composite K15 for int_a^b fn(s) ds on ``panels`` equal panels, with array
+    bounds as in ``_weighted_nodes``, and on one panel also G7 from the same
+    node values (else None).
+
+    Every sum adds its nodes in order across the chunks, so neither the
+    chunking nor the other points of the batch change a point's sums.
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    t = ((np.arange(panels)[:, None] + (_K15_NODES[None, :] + 1.0) / 2.0) / panels).reshape(-1)
+    w = np.tile(_K15_WEIGHTS / (2.0 * panels), panels)
+    w_gauss = _G7_WEIGHTS / 2.0 if panels == 1 else np.empty(0)
+    k = g = None
+    for vals, wk, wg in _weighted_nodes(fn, a, b, t, w, w_gauss):
+        # the Gauss nodes lead each panel, so G7 reads the first rows in place;
+        # its terms are freed before the K15 terms are built
+        if len(wg):
+            g = _fold(wg * vals[: len(wg)], g)
+        k = _fold(wk * vals, k)
+    return (b - a) * k, None if g is None else (b - a) * g
+
+
+def _require_finite(*estimates, panels: int) -> None:
+    """Refining cannot make a non-finite estimate finite, so it fails at once
+    (and before any difference of estimates is taken)."""
+    if not all(np.all(np.isfinite(e)) for e in estimates):
+        raise QuadratureError(f"segment quadrature gave a non-finite value at {panels} panels")
+
+
 def adaptive_segment_integral(
     fn, a, b, rel_tol: float = SEGMENT_REL_TOL, max_panels: int = MAX_PANELS
 ):
-    """Dyadically refine the composite rule until every point's value settles.
+    """Integrate with G7/K15 panels, doubling them until every point settles.
 
-    A level is accepted when |v - v_prev| <= rel_tol * (|v| + 1) at every
-    point.  A non-finite estimate, or no acceptance by ``max_panels`` panels,
-    raises QuadratureError; no unconverged value is ever returned.
+    A point settles when |K15 - G7| <= rel_tol * (|K15| + 1) on one panel, or
+    later when K15 on p panels and on p/2 panels agree to the same bound, and
+    keeps the K15 value of that level.  A non-finite estimate of a point not
+    yet settled, or a point still unsettled at ``max_panels`` panels, raises
+    QuadratureError; no unconverged value is ever returned.
     """
-    prev = _composite_gl(fn, a, b, 1)
-    panels, change = 1, np.inf
-    while np.all(np.isfinite(prev)) and panels < max_panels:
+    k, g = _gauss_kronrod(fn, a, b, 1)
+    _require_finite(k, g, panels=1)
+    shape = np.shape(k)
+    value = np.ravel(k)
+    change = np.ravel(np.abs(k - g))
+    open_ = np.flatnonzero(change > rel_tol * (np.abs(value) + 1.0))
+    change = change[open_]
+    panels = 1
+    while open_.size:
+        if panels >= max_panels:
+            raise QuadratureError(
+                f"segment quadrature did not converge within {panels} panels: largest "
+                f"change {float(np.max(change)):.3e} at relative tolerance {rel_tol:g}"
+            )
         panels *= 2
-        val = _composite_gl(fn, a, b, panels)
-        change = np.abs(val - prev)
-        if np.all(change <= rel_tol * (np.abs(val) + 1.0)):
-            return val
-        prev = val
-    if not np.all(np.isfinite(prev)):
-        raise QuadratureError(f"segment quadrature gave a non-finite value at {panels} panels")
-    raise QuadratureError(
-        f"segment quadrature did not converge within {panels} panels: largest change "
-        f"{float(np.max(change)):.3e} at relative tolerance {rel_tol:g}"
-    )
+        k = np.ravel(_gauss_kronrod(fn, a, b, panels)[0])[open_]
+        _require_finite(k, panels=panels)
+        change = np.abs(k - value[open_])
+        value[open_] = k
+        unsettled = change > rel_tol * (np.abs(k) + 1.0)
+        open_, change = open_[unsettled], change[unsettled]
+    return value.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

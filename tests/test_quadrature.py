@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from riccati2d import (
@@ -23,7 +25,14 @@ from riccati2d import (
     op_Abar,
 )
 from riccati2d import expressions as ex
-from riccati2d.quadrature import adaptive_segment_integral, antiderivative_along
+from riccati2d.cli import parse_config, run
+from riccati2d.quadrature import (
+    _G7_WEIGHTS,
+    _K15_NODES,
+    _K15_WEIGHTS,
+    adaptive_segment_integral,
+    antiderivative_along,
+)
 
 
 def z_conj(domain):
@@ -108,6 +117,45 @@ def test_adaptive_segment_integral_vs_scipy():
     got = adaptive_segment_integral(fn, 0.0, np.asarray([2.5]))
     want, _ = integrate.quad(lambda s: math.exp(-(s**2)) * math.cos(3 * s), 0.0, 2.5)
     assert got[0] == pytest.approx(want, abs=1e-12)
+
+
+def test_g7_is_seven_point_gauss_legendre_on_the_leading_k15_nodes():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(_K15_NODES[:7], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_G7_WEIGHTS, weights, rtol=0, atol=1e-15)
+
+
+def test_k15_is_exact_to_degree_22():
+    assert np.all(_K15_WEIGHTS > 0)
+    assert np.sum(_K15_WEIGHTS) == pytest.approx(2.0, rel=0, abs=1e-14)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.sum(_K15_WEIGHTS * _K15_NODES**k) == pytest.approx(exact, rel=0, abs=1e-14)
+
+
+def test_non_finite_estimate_raises_at_the_first_level():
+    """One level of nodes, and no inf - inf is taken (numpy's RuntimeWarning is an
+    error in this suite)."""
+    sizes = []
+
+    def fn(s):
+        sizes.append(s.size)
+        return np.where(s > 0.5, np.inf, 1.0)
+
+    with pytest.raises(QuadratureError, match="non-finite value at 1 panels"):
+        adaptive_segment_integral(fn, 0.0, np.ones(3))
+    assert sizes == [15 * 3]
+
+
+def test_settled_points_leave_the_failure_unchanged():
+    """A point that settles at once neither hides nor alters the failure of one
+    that never settles: the message names the largest change among the unsettled."""
+    fn = lambda s: np.sin(1e7 * s)
+    with pytest.raises(QuadratureError, match="16384 panels: largest change") as alone:
+        adaptive_segment_integral(fn, 0.0, 1.0)
+    with pytest.raises(QuadratureError) as batch:
+        adaptive_segment_integral(fn, 0.0, np.array([1e-9, 1.0]))
+    assert str(batch.value) == str(alone.value)
 
 
 def test_compatibility_check_pass_and_fail(unit_square):
@@ -267,14 +315,63 @@ def _count_quadrature(monkeypatch):
 
 
 def test_mesh_sample_integrates_each_cell_once(monkeypatch):
-    """Two quadrature calls for the whole mesh, and fewer integrand points than
-    the cheapest per-point L-paths (two integrals of 8 + 16 nodes per point)."""
+    """Two quadrature calls for the whole mesh, each settling on one 15-node panel
+    per cell: 201 rows of 200 cells (the base is a mesh node), then the 200 cells
+    of the base column."""
     calls, points = _count_quadrature(monkeypatch)
     n = 201
     _, A = _phi_antiderivative(n)
     assert A.sample().shape == (n, n)
     assert len(calls) == 2
-    assert sum(points) < 2 * 24 * n * n
+    assert sum(points) == 15 * (201 * 200 + 200)
+
+
+def test_point_l_path_cost_and_error(monkeypatch):
+    """(2.9, 2.9) alone takes fewer integrand points than the 144 of 8- and 16-node
+    Gauss-Legendre levels, at an error no larger than their 1.82e-12."""
+    phi, A = _phi_antiderivative(41)
+    calls, points = _count_quadrature(monkeypatch)
+    got = float(A(2.9, 2.9))
+    exact = phi.evaluate(Point(2.9, 2.9)) - phi.evaluate(Point(0.0, 0.0))
+    assert len(calls) == 2 and sum(points) < 144
+    assert abs(got - exact) <= 1.82e-12
+
+
+def _exp_text(theta):
+    return f"exp({math.cos(theta)!r}*x + {math.sin(theta)!r}*y)"
+
+
+def test_darboux_41_halves_the_integrand_points(monkeypatch):
+    """The nested antiderivatives of darboux at 41^2 (v's leaf inside u_back's
+    Phi) take at most half the 318,192 points of 8- and 16-node levels."""
+    text = (
+        f"case = darboux\ndomain = 0 1 0 1 41 41\n"
+        f"u = {_exp_text(0.93)}\nf = {_exp_text(-0.5)}\n"
+    )
+    calls, points = _count_quadrature(monkeypatch)
+    assert run(parse_config(text))["identities"][0]["pass"] is True
+    assert sum(points) <= 318_192 // 2
+    assert len(calls) < 22
+
+
+_POINT = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+
+
+@given(point=_POINT, others=st.lists(_POINT, max_size=30), data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_point_value_independent_of_its_batch(point, others, data):
+    """Alone, inside a batch of any size and inside a permutation of that batch, a
+    point's segment integral and its per-point op_A value are bit-identical."""
+    where = data.draw(st.integers(0, len(others)))
+    order = np.asarray(data.draw(st.permutations(range(len(others) + 1))))
+    x, y = np.array(others[:where] + [point] + others[where:]).T
+    fn = lambda s: np.sin(7 * s) * np.cosh(3 * s)
+    _, A = _phi_antiderivative(41)
+    seg, val = adaptive_segment_integral(fn, 0.0, point[0]), A(*point)
+    for idx in (np.arange(len(x)), order):
+        at = int(np.flatnonzero(idx == where)[0])
+        assert adaptive_segment_integral(fn, 0.0, x[idx])[at] == seg
+        assert A(x[idx], y[idx])[at] == val
 
 
 def test_repeated_leaf_integrates_once(monkeypatch):
