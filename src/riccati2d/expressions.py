@@ -1,13 +1,19 @@
 """Closed-form expression trees in the real coordinates x, y.
 
-Node kinds: constants, the coordinates, sums, products, quotients, integer
-powers, exp, sin, cos and the hyperbolic pair sinh/cosh.  Partial derivatives
-are exact (structural differentiation with light constant folding), which is
-what makes the expression backend usable as ground truth for the
-finite-difference one.  A ``Given`` leaf stands for a field outside that
-grammar (an antiderivative, grid samples): it evaluates by its own rule and
-differentiates to the partials attached to it.  Text is parsed by Python's
-``ast`` module; a whitelist maps the allowed nodes onto the trees.
+Node kinds: constants, which may be complex, the coordinates, sums, products,
+quotients, integer powers, exp, sin, cos, the hyperbolic pair sinh/cosh, the
+conjugate ``Conj`` and the parts ``Re``, ``Im``; numpy does complex arithmetic.
+Partial derivatives are exact (structural differentiation with light constant
+folding; d/dx conj(e) = conj(d/dx e)), which is what makes the expression
+backend usable as ground truth for the finite-difference one.  A ``Given``
+leaf stands for a real field outside that grammar (an antiderivative, grid
+samples): it evaluates by its own rule and differentiates to the partials
+attached to it, built once.  The folding constructors ``real`` and ``imag``
+emit an ``Re``/``Im`` node only as a last resort: a constant or all-real tree
+folds at once, and they distribute over sums and negation, pull out a constant
+(complex too), real factor or real denominator, and go through ``Conj``; so
+the parts of ``a + 1j*b`` are a's and b's own trees.  Text is parsed by
+Python's ``ast`` module; a whitelist maps the allowed nodes onto the trees.
 """
 from __future__ import annotations
 
@@ -34,6 +40,14 @@ class Expr:
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
+
+    @functools.cached_property
+    def is_real(self) -> bool:
+        """True for a real-valued tree: no complex constant outside an Re or Im node."""
+        return all(
+            v.is_real if isinstance(v, Expr) else not isinstance(v, complex)
+            for v in vars(self).values()
+        )
 
     # -- operator sugar (always routed through the folding constructors) --
     def __add__(self, other):
@@ -69,7 +83,11 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    value: float | complex
+
+    def __post_init__(self):  # a complex value without imaginary part is stored as a float
+        if isinstance(self.value, complex) and not self.value.imag:
+            object.__setattr__(self, "value", self.value.real)
 
     def ev(self, x, y):
         return self.value
@@ -176,6 +194,10 @@ class Given(Expr):
     dy: Callable[[], Expr]
     label: str
 
+    def __post_init__(self):  # each partial is built once, at its first diff
+        object.__setattr__(self, "dx", functools.cache(self.dx))
+        object.__setattr__(self, "dy", functools.cache(self.dy))
+
     def ev(self, x, y):
         return self.fn(x, y)
 
@@ -186,8 +208,8 @@ class Given(Expr):
         return self.label
 
 
-def _unary(np_fn, deriv_fn, symbol):
-    """Factory for the elementary function nodes."""
+def _unary(np_fn, symbol, rule):
+    """Factory for the one-argument nodes; ``rule(arg, d_arg)`` is the derivative."""
 
     @dataclass(frozen=True)
     class _Node(Expr):
@@ -197,7 +219,7 @@ def _unary(np_fn, deriv_fn, symbol):
             return np_fn(self.arg.ev(x, y))
 
         def diff(self, var):
-            return mul(deriv_fn(self.arg), self.arg.diff(var))
+            return rule(self.arg, self.arg.diff(var))
 
         def __str__(self):
             return f"{symbol}({self.arg})"
@@ -206,11 +228,15 @@ def _unary(np_fn, deriv_fn, symbol):
     return _Node
 
 
-Exp = _unary(np.exp, lambda a: Exp(a), "exp")
-Sin = _unary(np.sin, lambda a: Cos(a), "sin")
-Cos = _unary(np.cos, lambda a: neg(Sin(a)), "cos")
-Sinh = _unary(np.sinh, lambda a: Cosh(a), "sinh")
-Cosh = _unary(np.cosh, lambda a: Sinh(a), "cosh")
+Exp = _unary(np.exp, "exp", lambda a, da: mul(Exp(a), da))
+Sin = _unary(np.sin, "sin", lambda a, da: mul(Cos(a), da))
+Cos = _unary(np.cos, "cos", lambda a, da: mul(neg(Sin(a)), da))
+Sinh = _unary(np.sinh, "sinh", lambda a, da: mul(Cosh(a), da))
+Cosh = _unary(np.cosh, "cosh", lambda a, da: mul(Sinh(a), da))
+Conj = _unary(np.conj, "conj", lambda a, da: conj(da))
+Re = _unary(np.real, "re", lambda a, da: real(da))
+Im = _unary(np.imag, "im", lambda a, da: imag(da))
+Re.is_real = Im.is_real = True
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -221,6 +247,8 @@ def as_expr(v) -> Expr:
         return v
     if isinstance(v, (int, float)):
         return Const(float(v))
+    if isinstance(v, complex):
+        return Const(v)
     raise ExpressionError(f"cannot convert {v!r} to an expression")
 
 
@@ -292,24 +320,44 @@ X = Var("x")
 Y = Var("y")
 
 
-def zpow_parts(n: int, x0: float = 0.0, y0: float = 0.0) -> tuple[Expr, Expr]:
-    """Real and imaginary parts of ((x - x0) + i(y - y0))**n as expressions."""
-    if n < 0:
-        raise ExpressionError("zpow_parts requires n >= 0")
-    dx = add(X, Const(-x0))
-    dy = add(Y, Const(-y0))
-    re: Expr = ZERO
-    im: Expr = ZERO
-    for k in range(n + 1):
-        coeff = math.comb(n, k)
-        term = mul(Const(float(coeff)), mul(powi(dx, n - k), powi(dy, k)))
-        if k % 2 == 0:
-            sign = 1.0 if k % 4 == 0 else -1.0
-            re = add(re, mul(Const(sign), term))
-        else:
-            sign = 1.0 if k % 4 == 1 else -1.0
-            im = add(im, mul(Const(sign), term))
-    return re, im
+def conj(a: Expr) -> Expr:
+    if a.is_real:
+        return a
+    if isinstance(a, Const):
+        return Const(a.value.conjugate())
+    if isinstance(a, Conj):
+        return a.arg
+    return Conj(a)
+
+
+def _part(a: Expr, imaginary: bool) -> Expr:
+    """``real(a)`` or ``imag(a)``, folded; an ``Re``/``Im`` node only where no rule applies."""
+    part = imag if imaginary else real
+    if a.is_real:
+        return ZERO if imaginary else a
+    if isinstance(a, Const):
+        return Const(a.value.imag if imaginary else a.value.real)
+    if isinstance(a, Add):
+        return add(part(a.a), part(a.b))
+    if isinstance(a, Conj):
+        return neg(part(a.arg)) if imaginary else part(a.arg)
+    if isinstance(a, Mul) and isinstance(a.a, Const):
+        # re(c b) = re c re b - im c im b,  im(c b) = im c re b + re c im b
+        c = a.a.value
+        w_re, w_im = (c.imag, c.real) if imaginary else (c.real, -c.imag)
+        return add(
+            mul(Const(w_re), real(a.b)) if w_re else ZERO,
+            mul(Const(w_im), imag(a.b)) if w_im else ZERO,
+        )
+    if isinstance(a, Mul) and a.a.is_real:
+        return mul(a.a, part(a.b))
+    if isinstance(a, (Mul, Div)) and a.b.is_real:
+        return (mul if isinstance(a, Mul) else div)(part(a.a), a.b)
+    return (Im if imaginary else Re)(a)
+
+
+real = functools.partial(_part, imaginary=False)
+imag = functools.partial(_part, imaginary=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,20 @@ Two interchangeable backends:
 The outputs of the antiderivative operators are expression fields too: their
 values come from quadrature, but they are ``Given`` leaves carrying their
 exact partials, so the expression algebra combines and differentiates them
-like any other node.  Combining anything with a ``GridField`` resamples the
-result on that grid.
+like any other node.  Combining a real field with a ``GridField`` resamples
+the result on that grid.
 
-Complex fields are stored as a pair of real fields, mirroring the systematic
-Re/Im decomposition used everywhere downstream.
+A ``ComplexField`` is one complex-valued expression; a grid enters it as its
+``Given`` leaf.  Its arithmetic, conjugate and Wirtinger derivatives are
+expression operations, and its real and imaginary parts fold back to real
+trees.  Real and complex fields, and numbers, combine through one algebra;
+fields combine only on the same rectangle.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -114,7 +119,38 @@ class DomainSpec:
 # ---------------------------------------------------------------------------
 
 
-class ScalarField:
+class _Algebra:
+    """``+ - * /`` and negation of fields and numbers, all through ``_combine``."""
+
+    def __add__(self, other):
+        return _combine(self, other, operator.add)
+
+    def __radd__(self, other):
+        return _combine(other, self, operator.add)
+
+    def __sub__(self, other):
+        return _combine(self, other, operator.sub)
+
+    def __rsub__(self, other):
+        return _combine(other, self, operator.sub)
+
+    def __mul__(self, other):
+        return _combine(self, other, operator.mul)
+
+    def __rmul__(self, other):
+        return _combine(other, self, operator.mul)
+
+    def __truediv__(self, other):
+        return _combine(self, other, operator.truediv)
+
+    def __rtruediv__(self, other):
+        return _combine(other, self, operator.truediv)
+
+    def __neg__(self):
+        return _combine(-1.0, self, operator.mul)
+
+
+class ScalarField(_Algebra):
     """Real-valued field on a rectangle.  Immutable; all operations are pure."""
 
     domain: DomainSpec
@@ -148,34 +184,6 @@ class ScalarField:
         dom = domain or self.domain
         values = np.asarray(self._values(*dom.axes()), float)
         return GridField(dom, values + np.zeros((dom.ny, dom.nx)))
-
-    # arithmetic --------------------------------------------------------
-    def __add__(self, other):
-        return _combine(self, _coerce(other, self.domain), "add")
-
-    def __radd__(self, other):
-        return _combine(_coerce(other, self.domain), self, "add")
-
-    def __sub__(self, other):
-        return _combine(self, _coerce(other, self.domain), "sub")
-
-    def __rsub__(self, other):
-        return _combine(_coerce(other, self.domain), self, "sub")
-
-    def __mul__(self, other):
-        return _combine(self, _coerce(other, self.domain), "mul")
-
-    def __rmul__(self, other):
-        return _combine(_coerce(other, self.domain), self, "mul")
-
-    def __truediv__(self, other):
-        return _combine(self, _coerce(other, self.domain), "div")
-
-    def __rtruediv__(self, other):
-        return _combine(_coerce(other, self.domain), self, "div")
-
-    def __neg__(self):
-        return _combine(_coerce(-1.0, self.domain), self, "mul")
 
 
 class ExprField(ScalarField):
@@ -278,34 +286,35 @@ class GridField(ScalarField):
         )
 
 
-def _coerce(other, domain: DomainSpec) -> ScalarField:
-    if isinstance(other, ScalarField):
-        return other
-    if isinstance(other, (int, float)):
-        return ExprField(domain, ex.Const(float(other)))
-    return NotImplemented  # pragma: no cover
+def _expr(v) -> ex.Expr:
+    return v.to_expr() if isinstance(v, (ScalarField, ComplexField)) else ex.as_expr(v)
 
 
-_EXPR_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-_NP_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
+def _combine(a, b, op):
+    """``op`` on two operands, fields or numbers, at least one of them a field.
 
-
-def _combine(a: ScalarField, b: ScalarField, op: str) -> ScalarField:
-    if isinstance(a, GridField) or isinstance(b, GridField):
-        grid = a if isinstance(a, GridField) else b
-        xs, ys = grid.domain.axes()
-        return GridField(grid.domain, _NP_OPS[op](a._values(xs, ys), b._values(xs, ys)))
-    return ExprField(a.domain, _EXPR_OPS[op](a.expr, b.expr))
+    Fields must lie on the same rectangle.  A complex operand gives a complex
+    field; two real operands with a grid among them give a grid of the values
+    at its nodes; otherwise the expressions combine.  Any other operand type
+    gives NotImplemented.
+    """
+    fields = (ScalarField, ComplexField)
+    field, other = (a, b) if isinstance(a, fields) else (b, a)
+    if isinstance(other, fields):
+        corners = [(d.x_min, d.x_max, d.y_min, d.y_max) for d in (field.domain, other.domain)]
+        if corners[0] != corners[1]:
+            rects = " and ".join("[%r, %r] x [%r, %r]" % c for c in corners)
+            raise DomainError(f"cannot combine fields on different rectangles {rects}")
+    elif not isinstance(other, (int, float, complex)):
+        return NotImplemented
+    if isinstance(a, (ComplexField, complex)) or isinstance(b, (ComplexField, complex)):
+        return ComplexField.from_expr(field.domain, op(_expr(a), _expr(b)))
+    grid = a if isinstance(a, GridField) else b if isinstance(b, GridField) else None
+    if grid is None:
+        return ExprField(field.domain, op(_expr(a), _expr(b)))
+    xs, ys = grid.domain.axes()
+    values = (v._values(xs, ys) if isinstance(v, ScalarField) else v for v in (a, b))
+    return GridField(grid.domain, op(*values))
 
 
 def exp_field(f: ScalarField) -> ScalarField:
@@ -324,124 +333,82 @@ def constant_field(value: float, domain: DomainSpec) -> ExprField:
 # ---------------------------------------------------------------------------
 
 
-class ComplexField:
-    """Complex-valued field stored as a pair of real fields on one rectangle."""
+class ComplexField(_Algebra):
+    """Complex-valued field on a rectangle: one complex expression."""
 
     def __init__(self, re: ScalarField, im: ScalarField):
-        self.re = re
-        self.im = im
+        joined = re + 1j * im
+        self.domain, self.expr = joined.domain, joined.expr
 
-    @property
-    def domain(self) -> DomainSpec:
-        return self.re.domain
+    @classmethod
+    def from_expr(cls, domain: DomainSpec, expr: ex.Expr) -> "ComplexField":
+        field = cls.__new__(cls)
+        field.domain, field.expr = domain, expr
+        return field
 
     @classmethod
     def constant(cls, value: complex, domain: DomainSpec) -> "ComplexField":
-        return cls(constant_field(value.real, domain), constant_field(value.imag, domain))
+        return cls.from_expr(domain, ex.as_expr(complex(value)))
 
-    @classmethod
-    def from_real(cls, f: ScalarField) -> "ComplexField":
-        return cls(f, constant_field(0.0, f.domain))
+    @functools.cached_property
+    def re(self) -> ExprField:
+        return ExprField(self.domain, ex.real(self.expr))
+
+    @functools.cached_property
+    def im(self) -> ExprField:
+        return ExprField(self.domain, ex.imag(self.expr))
+
+    def to_expr(self) -> ex.Expr:
+        return self.expr
+
+    def _values(self, x, y):
+        out = self.expr.ev(x, y)
+        return np.broadcast_to(np.asarray(out, complex), np.broadcast(x, y).shape)
 
     def evaluate(self, p: Point) -> complex:
-        return complex(self.re.evaluate(p), self.im.evaluate(p))
+        if not self.domain.contains(p.x, p.y):
+            raise DomainError(f"point ({p.x}, {p.y}) outside domain")
+        return complex(self._values(np.asarray(p.x, float), np.asarray(p.y, float)))
 
     def __call__(self, x, y):
-        return self.re(x, y) + 1j * self.im(x, y)
+        return self._values(np.asarray(x, float), np.asarray(y, float))
 
     def sample(self, nx=None, ny=None, margin: int = 0):
-        return self.re.sample(nx, ny, margin) + 1j * self.im.sample(nx, ny, margin)
-
-    # arithmetic --------------------------------------------------------
-    def _coerce(self, other) -> "ComplexField":
-        if isinstance(other, ComplexField):
-            return other
-        if isinstance(other, ScalarField):
-            return ComplexField.from_real(other)
-        if isinstance(other, (int, float, complex)):
-            return ComplexField.constant(complex(other), self.domain)
-        return NotImplemented  # pragma: no cover
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return ComplexField(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return ComplexField(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return ComplexField(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (ScalarField, int, float)):
-            return ComplexField(self.re * other, self.im * other)
-        o = self._coerce(other)
-        return ComplexField(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (ScalarField, int, float)):
-            return ComplexField(self.re / other, self.im / other)
-        o = self._coerce(other)
-        den = o.abs2()
-        num = self * o.conj()
-        return ComplexField(num.re / den, num.im / den)
-
-    def __neg__(self):
-        return ComplexField(-self.re, -self.im)
+        return self._values(*self.domain.axes(nx, ny, margin))
 
     def conj(self) -> "ComplexField":
-        return ComplexField(self.re, -self.im)
+        return ComplexField.from_expr(self.domain, ex.conj(self.expr))
 
     def abs2(self) -> ScalarField:
-        return self.re * self.re + self.im * self.im
+        return (self * self.conj()).re
 
-    def times_i(self) -> "ComplexField":
-        return ComplexField(-self.im, self.re)
-
-    # calculus ----------------------------------------------------------
     def dx(self) -> "ComplexField":
-        return ComplexField(self.re.dx(), self.im.dx())
+        return ComplexField.from_expr(self.domain, self.expr.diff("x"))
 
     def dy(self) -> "ComplexField":
-        return ComplexField(self.re.dy(), self.im.dy())
+        return ComplexField.from_expr(self.domain, self.expr.diff("y"))
 
     def dz(self) -> "ComplexField":
-        ux, uy = self.re.dx(), self.re.dy()
-        vx, vy = self.im.dx(), self.im.dy()
-        return ComplexField(0.5 * (ux + vy), 0.5 * (vx - uy))
+        return d_z(self)
 
     def dzbar(self) -> "ComplexField":
-        ux, uy = self.re.dx(), self.re.dy()
-        vx, vy = self.im.dx(), self.im.dy()
-        return ComplexField(0.5 * (ux - vy), 0.5 * (vx + uy))
+        return d_zbar(self)
 
 
 FieldLike = Union[ScalarField, ComplexField]
 
 
 def d_z(f: FieldLike) -> ComplexField:
-    if isinstance(f, ScalarField):
-        return ComplexField(0.5 * f.dx(), -0.5 * f.dy())
-    return f.dz()
+    """(d_x - i d_y) / 2 of a real or complex field."""
+    return 0.5 * (f.dx() - 1j * f.dy())
 
 
 def d_zbar(f: FieldLike) -> ComplexField:
-    if isinstance(f, ScalarField):
-        return ComplexField(0.5 * f.dx(), 0.5 * f.dy())
-    return f.dzbar()
+    """(d_x + i d_y) / 2 of a real or complex field."""
+    return 0.5 * (f.dx() + 1j * f.dy())
 
 
 def laplacian(f: FieldLike) -> FieldLike:
-    if isinstance(f, ComplexField):
-        return ComplexField(laplacian(f.re), laplacian(f.im))
     if isinstance(f, GridField):
         return GridField(f.domain, f.laplacian_values())
     return f.dx().dx() + f.dy().dy()

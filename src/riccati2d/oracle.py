@@ -22,6 +22,7 @@ from .field import (
     Point,
     ScalarField,
     constant_field,
+    d_z,
     max_abs,
     min_abs_location,
 )
@@ -137,9 +138,7 @@ def separable_family(
                     "separable_family: cosine factor vanishes inside the requested domain"
                 )
     u = ExprField(domain, Fx * Fy)
-    Q = ComplexField(
-        ExprField(domain, ex.Const(0.5) * logdx), ExprField(domain, ex.Const(-0.5) * logdy)
-    )
+    Q = ComplexField.from_expr(domain, 0.5 * logdx - 0.5j * logdy)
     sol = OracleSolution(
         u=u,
         nu=constant_field(nu1 + nu2, domain),
@@ -171,17 +170,9 @@ def harmonic_family(
         dom = domain or _UNIT_SQUARE
     else:
         raise ParameterError(f"unknown harmonic kind {kind!r}")
-    re_expr, _ = ex.zpow_parts(n, shift.x, shift.y)
-    u = ExprField(dom, re_expr)
-    if n == 0:
-        Q = ComplexField.constant(0.0, dom)
-    else:
-        ux = re_expr.diff("x")
-        uy = re_expr.diff("y")
-        Q = ComplexField(
-            ExprField(dom, ex.Const(0.5) * ux / re_expr),
-            ExprField(dom, ex.Const(-0.5) * uy / re_expr),
-        )
+    z_n = ex.powi(ex.X + 1j * ex.Y - complex(shift.x, shift.y), n)
+    u = ExprField(dom, ex.real(z_n))
+    Q = d_z(u) / u
     sol = OracleSolution(
         u=u,
         nu=constant_field(0.0, dom),
@@ -202,7 +193,7 @@ def perturb(sol: OracleSolution, epsilon: float) -> OracleSolution:
     """Shift Q by a nonzero constant to produce a certified non-solution."""
     if epsilon == 0:
         raise ParameterError("perturbation epsilon must be nonzero")
-    Q_bad = sol.Q + ComplexField.constant(complex(epsilon, 0.0), sol.domain)
+    Q_bad = sol.Q + epsilon
     return replace(
         sol,
         Q=Q_bad,

@@ -41,7 +41,7 @@ class RiccatiProblem:
 
 def riccati_residual(Q: ComplexField, prob: RiccatiProblem) -> ComplexField:
     """Pointwise d_zbar(Q) + |Q|^2 - nu/4 (zero iff Q solves the equation)."""
-    return Q.dzbar() + ComplexField.from_real(Q.abs2() - 0.25 * prob.nu)
+    return Q.dzbar() + (Q.abs2() - 0.25 * prob.nu)
 
 
 def schrodinger_residual(u: ScalarField, prob: RiccatiProblem) -> ScalarField:
@@ -89,14 +89,14 @@ def exp_reconstruct(Q: ComplexField, prob: RiccatiProblem) -> ScalarField:
 
 def factorization_apply(
     Q: ComplexField, phi: ScalarField, prob: RiccatiProblem
-) -> tuple[ComplexField, ComplexField, ComplexField]:
+) -> tuple[ScalarField, ComplexField, ComplexField]:
     """Both factorized forms of (Laplace - nu)/4 applied to a real field phi.
 
     Returns (lhs, rhs1, rhs2); the three agree pointwise iff Q solves the
     Riccati equation, and lhs - rhs1 equals the Riccati residual times phi.
     The conjugation in each factor applies before multiplication by Q.
     """
-    lhs = ComplexField.from_real(0.25 * (laplacian(phi) - prob.nu * phi))
+    lhs = 0.25 * (laplacian(phi) - prob.nu * phi)
     psi = d_z(phi) - Q * phi  # phi is real, so C[phi] = phi
     rhs1 = psi.dzbar() + Q * psi.conj()
     chi = d_zbar(phi) - Q.conj() * phi
@@ -117,14 +117,14 @@ def darboux_v_from_u(u: ScalarField, f: ScalarField, prob: RiccatiProblem) -> Sc
     here by the base-point convention v(base) = c / f(base).
     """
     check_nonvanishing(f, "f")
-    arg = (d_zbar(u / f) * (f * f)).times_i()
+    arg = 1j * (d_zbar(u / f) * (f * f))
     return op_Abar(arg, prob.cfg) / f
 
 
 def darboux_u_from_v(v: ScalarField, f: ScalarField, prob: RiccatiProblem) -> ScalarField:
     """Inverse transform: u = -f * Abar(i f^-2 d_zbar(f v)), up to an additive c*f."""
     check_nonvanishing(f, "f")
-    arg = (d_zbar(f * v) / (f * f)).times_i()
+    arg = 1j * (d_zbar(f * v) / (f * f))
     return -(f * op_Abar(arg, prob.cfg))
 
 
@@ -148,7 +148,7 @@ def euler_first_W_from_Q(
     f0 = exp_field(op_A(Q0, prob.cfg))
     u = exp_field(op_A(Q, prob.cfg))
     e_diff = exp_field(op_A(Q - Q0, prob.cfg))
-    arg = (d_zbar(e_diff) * (f0 * f0)).times_i()
+    arg = 1j * (d_zbar(e_diff) * (f0 * f0))
     v = op_Abar(arg, prob.cfg) / f0
     return ComplexField(u, v)
 

@@ -21,14 +21,13 @@ from .errors import (
 from .field import (
     ComplexField,
     DomainSpec,
-    ExprField,
     Point,
     ScalarField,
-    constant_field,
     d_z,
     exp_field,
     laplacian,
     max_abs,
+    min_abs_location,
     check_nonvanishing,
 )
 from .quadrature import Contour, line_integral_dz, op_A
@@ -78,8 +77,7 @@ def picard_term(Qi: ComplexField, Qj: ComplexField) -> ComplexField:
     """[d_zbar(Qi - Qj) + 2i Im(conj(Qi) Qj)] / (Qi - Qj)."""
     diff = Qi - Qj
     cross = (Qi.conj() * Qj).im
-    numerator = diff.dzbar() + ComplexField(constant_field(0.0, diff.domain), 2.0 * cross)
-    return numerator / diff
+    return (diff.dzbar() + 2j * cross) / diff
 
 
 def picard_identity(
@@ -102,7 +100,7 @@ def picard_identity(
         _require_riccati_solution(Q, prob, f"Q{k}", tol=solution_tol)
     pairs = ((0, 1), (2, 3), (0, 3), (2, 1))
     for i, j in pairs:
-        dmin = _min_abs(Qs[i] - Qs[j])
+        dmin, _ = min_abs_location(Qs[i] - Qs[j])
         if not dmin > PAIR_DEGENERACY_EPS:
             raise DegeneratePairError(f"Q{i + 1}-Q{j + 1}", dmin)
     total = (
@@ -118,10 +116,6 @@ def picard_identity(
         tolerance=tolerance,
         refinement_table=[(float(prob.domain.nx), residual)],
     )
-
-
-def _min_abs(cf: ComplexField) -> float:
-    return float(np.min(np.abs(cf.sample())))
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +264,12 @@ class FormalPowerBaseline:
 
 def analytic_power(n: int, domain: DomainSpec, z0: Point = Point(0.0, 0.0)) -> ComplexField:
     """The analytic field (z - z0)^n as a complex expression field."""
-    re, im = ex.zpow_parts(n, z0.x, z0.y)
-    return ComplexField(ExprField(domain, re), ExprField(domain, im))
+    return ComplexField.from_expr(domain, ex.powi(ex.X + 1j * ex.Y - complex(z0.x, z0.y), n))
 
 
 def analytic_exp(domain: DomainSpec) -> ComplexField:
-    """The entire field exp(z) = e^x (cos y + i sin y)."""
-    return ComplexField(
-        ExprField(domain, ex.Exp(ex.X) * ex.Cos(ex.Y)),
-        ExprField(domain, ex.Exp(ex.X) * ex.Sin(ex.Y)),
-    )
+    """The entire field exp(z)."""
+    return ComplexField.from_expr(domain, ex.Exp(ex.X + 1j * ex.Y))
 
 
 def taylor_coefficients(

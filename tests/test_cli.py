@@ -360,6 +360,18 @@ def test_darboux_on_grid_backed_antiderivative(tmp_path):
     assert entry["residual"] < 1e-11  # order-2 differences are exact on a quadratic
 
 
+def test_csv_on_another_rectangle_is_a_domain_error(tmp_path):
+    """A [0,2]^2 grid under a [0,1]^2 domain line is refused, not checked on [0,2]^2."""
+    csv = tmp_path / "u.csv"
+    write_grid_csv(csv, ExprField(DomainSpec(0, 2, 0, 2, 41, 41), "x**2 - y**2 + 2*x").to_grid())
+    text = f"case = darboux\ndomain = 0 1 0 1 41 41\nu = csv {csv}\nf = 1\nnu = 0\n"
+    out = tmp_path / "r.json"
+    assert main(["--config", write(tmp_path, "wide.cfg", text), "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["identities"][0]
+    assert entry["error_type"] == "DomainError" and not entry["pass"]
+    assert "different rectangles" in entry["reason"]
+
+
 def test_nan_residual_fails_its_gate():
     """exp(800 x) overflows; the resulting NaN residual must fail the f gate."""
     text = (

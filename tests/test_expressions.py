@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati2d import ExpressionError, SingularityError
+from riccati2d import DomainSpec, ExpressionError, Point, SingularityError, analytic_power
 from riccati2d import expressions as ex
 from riccati2d.expressions import parse_expression
 
@@ -108,13 +108,14 @@ def test_division_singularity_guard():
     assert expr.ev(2.0, 0.0) == 0.5
 
 
-def test_zpow_parts_against_complex_arithmetic():
+def test_analytic_power_against_complex_arithmetic():
+    dom = DomainSpec(0.0, 2.0, 0.0, 1.0)
     for n in range(6):
-        re, im = ex.zpow_parts(n, 0.3, -0.2)
+        w = analytic_power(n, dom, Point(0.3, -0.2))
         x, y = 1.7, 0.4
         want = complex(x - 0.3, y + 0.2) ** n
-        assert re.ev(x, y) == pytest.approx(want.real, rel=1e-13, abs=1e-13)
-        assert im.ev(x, y) == pytest.approx(want.imag, rel=1e-13, abs=1e-13)
+        assert w.re.evaluate(Point(x, y)) == pytest.approx(want.real, rel=1e-13, abs=1e-13)
+        assert w.im.evaluate(Point(x, y)) == pytest.approx(want.imag, rel=1e-13, abs=1e-13)
 
 
 @given(

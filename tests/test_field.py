@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from riccati2d import (
     ComplexField,
+    DomainError,
     DomainSpec,
     ExprField,
     GridField,
@@ -79,10 +80,44 @@ def test_wirtinger_split_recombines(a, b):
     dz, dzbar = d_z(u), d_zbar(u)
     xg, yg = dom.mesh()
     got_dx = (dz + dzbar)(xg, yg)
-    got_dy = ((dz - dzbar).times_i())(xg, yg)
+    got_dy = (1j * (dz - dzbar))(xg, yg)
     np.testing.assert_allclose(got_dx.real, u.dx()(xg, yg), atol=1e-12)
     np.testing.assert_allclose(got_dx.imag, 0.0, atol=1e-12)
     np.testing.assert_allclose(got_dy.real, u.dy()(xg, yg), atol=1e-12)
+
+
+_COEFF = st.floats(-1.5, 1.5)
+
+
+@given(c0=_COEFF, c1=_COEFF, c2=_COEFF, c3=_COEFF)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_complex_algebra_matches_numpy(c0, c1, c2, c3):
+    """Field arithmetic, conjugate, |.|^2 and the Wirtinger derivatives agree with
+    numpy's complex arithmetic; the parts of ComplexField(a, b) are a's and b's trees."""
+    dom = DomainSpec(0.0, 1.0, 0.0, 1.0, 21, 21)
+    a = ExprField(dom, ex.Exp(ex.Const(c0) * ex.X + ex.Const(c1) * ex.Y))
+    b = ExprField(dom, ex.Sin(ex.Const(c2) * ex.X) * ex.Cosh(ex.Const(c3) * ex.Y))
+    p = ExprField(dom, ex.Cosh(ex.Const(c3) * ex.X))
+    q = ExprField(dom, ex.Exp(ex.Const(c2) * ex.Y) * ex.Sin(ex.Const(c0) * ex.X))
+    P, R = ComplexField(a, b), ComplexField(p, q)
+    assert P.re.expr is a.expr and P.im.expr is b.expr
+    x, y = dom.mesh()
+    pv = np.exp(c0 * x + c1 * y) + 1j * np.sin(c2 * x) * np.cosh(c3 * y)
+    rv = np.cosh(c3 * x) + 1j * np.exp(c2 * y) * np.sin(c0 * x)
+    pv_x = c0 * np.exp(c0 * x + c1 * y) + 1j * c2 * np.cos(c2 * x) * np.cosh(c3 * y)
+    pv_y = c1 * np.exp(c0 * x + c1 * y) + 1j * c3 * np.sin(c2 * x) * np.sinh(c3 * y)
+    pairs = [
+        (P + R, pv + rv),
+        (P - R, pv - rv),
+        (P * R, pv * rv),
+        (P / R, pv / rv),
+        (P.conj(), np.conj(pv)),
+        (P.abs2(), np.abs(pv) ** 2),
+        (P.dz(), 0.5 * (pv_x - 1j * pv_y)),
+        (P.dzbar(), 0.5 * (pv_x + 1j * pv_y)),
+    ]
+    for field, want in pairs:
+        np.testing.assert_allclose(field.sample(), want, rtol=1e-12)
 
 
 def grid_of(expr_text, n):
@@ -174,7 +209,32 @@ def test_complex_field_algebra(unit_square):
     np.testing.assert_allclose((z / shifted)(xg, yg), zv / (zv + 2), rtol=1e-12)
     np.testing.assert_allclose(z.conj()(xg, yg), np.conj(zv), rtol=1e-13)
     np.testing.assert_allclose(z.abs2()(xg, yg), np.abs(zv) ** 2, rtol=1e-13)
-    np.testing.assert_allclose(z.times_i()(xg, yg), 1j * zv, rtol=1e-13)
+    np.testing.assert_allclose((1j * z)(xg, yg), 1j * zv, rtol=1e-13)
+
+
+def test_real_field_on_the_left_of_mixed_arithmetic(unit_square):
+    """A real field combined with a complex field or number gives a complex field."""
+    f = ExprField(unit_square, "x+2")
+    Q = ComplexField(ExprField(unit_square, "y+1"), ExprField(unit_square, "x"))
+    xg, yg = unit_square.mesh()
+    fv, qv = xg + 2, yg + 1 + 1j * xg
+    for got, want in [(f * Q, fv * qv), (f + Q, fv + qv), (f - Q, fv - qv), (f / Q, fv / qv),
+                      (f * 1j, fv * 1j)]:
+        assert isinstance(got, ComplexField)
+        np.testing.assert_allclose(got(xg, yg), want, rtol=1e-13)
+    for field in (f, Q):
+        with pytest.raises(TypeError):
+            field * "a"
+
+
+def test_fields_on_different_rectangles_do_not_combine():
+    """x on [0,2]^2 plus x on [0,1]^2 has no value at (2, 2); it used to read 3.0."""
+    g1 = ExprField(DomainSpec(0.0, 1.0, 0.0, 1.0), "x")
+    g2 = ExprField(DomainSpec(0.0, 2.0, 0.0, 2.0), "x")
+    rects = r"\[0.0, 2.0\] x \[0.0, 2.0\] and \[0.0, 1.0\] x \[0.0, 1.0\]"
+    for a, b in [(g2.to_grid(), g1.to_grid()), (g2, g1), (d_z(g2), g1)]:
+        with pytest.raises(DomainError, match=rects):
+            a + b
 
 
 def test_gradient_norm_ratio(unit_square):

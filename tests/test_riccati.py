@@ -115,7 +115,7 @@ def test_factorization_gap_equals_residual_times_phi():
     phi = ExprField(prob.domain, "x**2")
     lhs, rhs1, _ = factorization_apply(sol.Q, phi, prob)
     gap = lhs - rhs1
-    predicted = riccati_residual(sol.Q, prob) * ComplexField.from_real(phi)
+    predicted = riccati_residual(sol.Q, prob) * phi
     assert max_abs(gap - predicted) < 1e-12  # lhs - rhs1 = residual * phi
     assert max_abs(gap) > 1e-3  # negative control
 
