@@ -14,12 +14,21 @@ folds at once, and they distribute over sums and negation, pull out a constant
 (complex too), real factor or real denominator, and go through ``Conj``; so
 the parts of ``a + 1j*b`` are a's and b's own trees.  Text is parsed by
 Python's ``ast`` module; a whitelist maps the allowed nodes onto the trees.
+
+Differentiation reuses its operands, so derivatives are DAGs: ``diff`` is
+memoised per node and variable, and ``evaluate`` computes each distinct
+node of a tree once.  A tree that reaches some node twice (constants and
+the coordinates aside) runs a flat plan, built once and kept on its root,
+that applies each node's operation in ``ev``'s order and drops each value
+after its last use; a tree without repeats evaluates by ``ev``.  Both give
+the same values bit for bit and raise the same ``SingularityError`` first.
 """
 from __future__ import annotations
 
 import ast
 import functools
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -32,8 +41,28 @@ from .errors import ExpressionError, SingularityError
 SINGULARITY_EPS = 1e-14
 
 
+def _memoised(rule):
+    """A node's ``diff`` computed once per variable and kept on the node, so the
+    derivatives of one node are one object wherever they are reached."""
+
+    @functools.wraps(rule)
+    def diff(self, var):
+        cache = self.__dict__.setdefault("_derivatives", {})
+        if var not in cache:
+            cache[var] = rule(self, var)
+        return cache[var]
+
+    return diff
+
+
+def _check_denominator(node, den) -> None:
+    if np.min(np.abs(den)) < SINGULARITY_EPS:
+        raise SingularityError(f"denominator {node} has |value| < {SINGULARITY_EPS:g}")
+
+
 class Expr:
-    """Base node.  Subclasses implement ``ev`` and ``diff``."""
+    """Base node.  Subclasses implement ``ev``, ``diff`` and ``_emit``; the
+    plan, ``is_real`` and memoised derivatives are cached on the node."""
 
     def ev(self, x, y):
         raise NotImplementedError
@@ -41,13 +70,30 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
+    def _emit(self, plan: _Planner) -> int:
+        """Add this node's steps to ``plan``, operands in ``ev``'s order; return its slot."""
+        raise NotImplementedError
+
     @functools.cached_property
     def is_real(self) -> bool:
         """True for a real-valued tree: no complex constant outside an Re or Im node."""
-        return all(
-            v.is_real if isinstance(v, Expr) else not isinstance(v, complex)
-            for v in vars(self).values()
-        )
+        # the dataclass fields only: a plan or derivative cached on the node is no child
+        values = [getattr(self, name) for name in self.__dataclass_fields__]
+        return all(v.is_real if isinstance(v, Expr) else not isinstance(v, complex) for v in values)
+
+    @functools.cached_property
+    def _plan(self) -> tuple | None:
+        """Steps ``(fn, operand slots, slots freed after it)`` of a tree that reaches
+        some node twice, else None; a constant or a coordinate costs nothing to
+        evaluate again, so those do not count."""
+        planner = _Planner(self)
+        if not planner.shared:
+            return None
+        last = {i: k for k, (_, args) in enumerate(planner.steps) for i in args}
+        dead = [[] for _ in planner.steps]
+        for i, k in last.items():
+            dead[k].append(i)
+        return tuple((fn, args, tuple(d)) for (fn, args), d in zip(planner.steps, dead))
 
     # -- operator sugar (always routed through the folding constructors) --
     def __add__(self, other):
@@ -95,6 +141,10 @@ class Const(Expr):
     def diff(self, var):
         return ZERO
 
+    def _emit(self, plan):
+        value = self.value
+        return plan.step(lambda: value)
+
     def __str__(self):
         return repr(self.value)
 
@@ -109,6 +159,9 @@ class Var(Expr):
     def diff(self, var):
         return ONE if var == self.name else ZERO
 
+    def _emit(self, plan):
+        return 0 if self.name == "x" else 1
+
     def __str__(self):
         return self.name
 
@@ -121,8 +174,12 @@ class Add(Expr):
     def ev(self, x, y):
         return self.a.ev(x, y) + self.b.ev(x, y)
 
+    @_memoised
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
+
+    def _emit(self, plan):
+        return plan.step(operator.add, plan.slot(self.a), plan.slot(self.b))
 
     def __str__(self):
         return f"({self.a} + {self.b})"
@@ -136,8 +193,12 @@ class Mul(Expr):
     def ev(self, x, y):
         return self.a.ev(x, y) * self.b.ev(x, y)
 
+    @_memoised
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
+
+    def _emit(self, plan):
+        return plan.step(operator.mul, plan.slot(self.a), plan.slot(self.b))
 
     def __str__(self):
         return f"({self.a} * {self.b})"
@@ -150,16 +211,19 @@ class Div(Expr):
 
     def ev(self, x, y):
         den = self.b.ev(x, y)
-        if np.min(np.abs(den)) < SINGULARITY_EPS:
-            raise SingularityError(
-                f"denominator {self.b} has |value| < {SINGULARITY_EPS:g}"
-            )
+        _check_denominator(self.b, den)
         return self.a.ev(x, y) / den
 
+    @_memoised
     def diff(self, var):
         da, db = self.a.diff(var), self.b.diff(var)
         num = add(mul(da, self.b), neg(mul(self.a, db)))
         return div(num, mul(self.b, self.b))
+
+    def _emit(self, plan):  # the check precedes the numerator, as in ev
+        den = plan.slot(self.b)
+        plan.step(functools.partial(_check_denominator, self.b), den)
+        return plan.step(operator.truediv, plan.slot(self.a), den)
 
     def __str__(self):
         return f"({self.a} / {self.b})"
@@ -173,9 +237,14 @@ class Pow(Expr):
     def ev(self, x, y):
         return self.base.ev(x, y) ** self.exponent
 
+    @_memoised
     def diff(self, var):
         n = self.exponent
         return mul(mul(Const(float(n)), powi(self.base, n - 1)), self.base.diff(var))
+
+    def _emit(self, plan):
+        n = self.exponent
+        return plan.step(lambda v: v**n, plan.slot(self.base))
 
     def __str__(self):
         return f"({self.base}**{self.exponent})"
@@ -183,7 +252,8 @@ class Pow(Expr):
 
 @dataclass(frozen=True)
 class Given(Expr):
-    """Leaf with an evaluation rule and lazily built partials ``dx()``, ``dy()``.
+    """Leaf with an evaluation rule and partials built by ``dx()``, ``dy()``,
+    each once, at its first ``diff``.
 
     ``label`` is its fixed text form, so messages that print a tree (such as
     a ``SingularityError``) stay deterministic.
@@ -194,15 +264,15 @@ class Given(Expr):
     dy: Callable[[], Expr]
     label: str
 
-    def __post_init__(self):  # each partial is built once, at its first diff
-        object.__setattr__(self, "dx", functools.cache(self.dx))
-        object.__setattr__(self, "dy", functools.cache(self.dy))
-
     def ev(self, x, y):
         return self.fn(x, y)
 
+    @_memoised
     def diff(self, var):
         return self.dx() if var == "x" else self.dy()
+
+    def _emit(self, plan):
+        return plan.step(self.fn, 0, 1)
 
     def __str__(self):
         return self.label
@@ -218,8 +288,12 @@ def _unary(np_fn, symbol, rule):
         def ev(self, x, y):
             return np_fn(self.arg.ev(x, y))
 
+        @_memoised
         def diff(self, var):
             return rule(self.arg, self.arg.diff(var))
+
+        def _emit(self, plan):
+            return plan.step(np_fn, plan.slot(self.arg))
 
         def __str__(self):
             return f"{symbol}({self.arg})"
@@ -240,6 +314,47 @@ Re.is_real = Im.is_real = True
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation: each distinct node once.
+# ---------------------------------------------------------------------------
+
+
+def evaluate(expr: Expr, x, y):
+    """``expr.ev(x, y)``, bit for bit, computing each distinct node once."""
+    plan = expr._plan
+    if plan is None:
+        return expr.ev(x, y)
+    vals = [x, y]
+    for fn, args, dead in plan:
+        vals.append(fn(*[vals[i] for i in args]))
+        for i in dead:
+            vals[i] = None
+    return vals[-1]
+
+
+class _Planner:
+    """A tree's distinct nodes (by identity) as steps ``(fn, operand slots)`` in
+    ``ev``'s order.  Slots 0 and 1 hold x and y, slot k + 2 the value of step k."""
+
+    def __init__(self, root: Expr):
+        self.slots: dict[int, int] = {}
+        self.steps: list[tuple] = []
+        self.shared = False
+        self.slot(root)
+
+    def slot(self, node: Expr) -> int:
+        hit = self.slots.get(id(node))
+        if hit is None:
+            hit = self.slots[id(node)] = node._emit(self)
+        elif not isinstance(node, (Const, Var)):
+            self.shared = True
+        return hit
+
+    def step(self, fn, *args: int) -> int:
+        self.steps.append((fn, args))
+        return len(self.steps) + 1
 
 
 def as_expr(v) -> Expr:

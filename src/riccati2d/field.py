@@ -194,7 +194,7 @@ class ExprField(ScalarField):
         self.expr = ex.as_expr(expr)
 
     def _values(self, x, y):
-        out = self.expr.ev(x, y)
+        out = ex.evaluate(self.expr, x, y)
         return np.broadcast_to(np.asarray(out, float), np.broadcast(x, y).shape)
 
     def dx(self) -> "ExprField":
@@ -234,6 +234,22 @@ def _fd2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(d, 0, axis)
 
 
+def _bilinear(d: DomainSpec, v: np.ndarray, x, y):
+    """Bilinear interpolation of the samples v; exact at the nodes, clamped at the edges."""
+    fx = np.clip((np.asarray(x, float) - d.x_min) / d.hx, 0.0, d.nx - 1.0)
+    fy = np.clip((np.asarray(y, float) - d.y_min) / d.hy, 0.0, d.ny - 1.0)
+    i0 = np.minimum(fx.astype(int), d.nx - 2)
+    j0 = np.minimum(fy.astype(int), d.ny - 2)
+    tx = fx - i0
+    ty = fy - j0
+    return (
+        (1 - tx) * (1 - ty) * v[j0, i0]
+        + tx * (1 - ty) * v[j0, i0 + 1]
+        + (1 - tx) * ty * v[j0 + 1, i0]
+        + tx * ty * v[j0 + 1, i0 + 1]
+    )
+
+
 class GridField(ScalarField):
     def __init__(self, domain: DomainSpec, values: np.ndarray):
         values = np.asarray(values, float)
@@ -248,21 +264,7 @@ class GridField(ScalarField):
         self.values.setflags(write=False)
 
     def _values(self, x, y):
-        # bilinear interpolation; exact at the nodes, clamped at the edges
-        d = self.domain
-        fx = np.clip((np.asarray(x, float) - d.x_min) / d.hx, 0.0, d.nx - 1.0)
-        fy = np.clip((np.asarray(y, float) - d.y_min) / d.hy, 0.0, d.ny - 1.0)
-        i0 = np.minimum(fx.astype(int), d.nx - 2)
-        j0 = np.minimum(fy.astype(int), d.ny - 2)
-        tx = fx - i0
-        ty = fy - j0
-        v = self.values
-        return (
-            (1 - tx) * (1 - ty) * v[j0, i0]
-            + tx * (1 - ty) * v[j0, i0 + 1]
-            + (1 - tx) * ty * v[j0 + 1, i0]
-            + tx * ty * v[j0 + 1, i0 + 1]
-        )
+        return _bilinear(self.domain, self.values, x, y)
 
     def dx(self) -> "GridField":
         return GridField(self.domain, _fd1(self.values, self.domain.hx, axis=1))
@@ -271,12 +273,19 @@ class GridField(ScalarField):
         return GridField(self.domain, _fd1(self.values, self.domain.hy, axis=0))
 
     def to_expr(self) -> ex.Expr:
-        """The samples as a leaf whose partials are the grid's own differences."""
+        """The samples as a leaf whose partials are the grid's own differences:
+        one leaf per grid, so a grid reached twice is one node of a tree."""
+        return self._leaf
+
+    @functools.cached_property
+    def _leaf(self) -> ex.Given:
+        # the leaf holds the samples, not the grid, so keeping it here makes no cycle
+        d, v = self.domain, self.values
         return ex.Given(
-            self._values,
-            lambda: self.dx().to_expr(),
-            lambda: self.dy().to_expr(),
-            f"grid[{self.domain.nx}x{self.domain.ny}]",
+            functools.partial(_bilinear, d, v),
+            lambda: GridField(d, _fd1(v, d.hx, axis=1)).to_expr(),
+            lambda: GridField(d, _fd1(v, d.hy, axis=0)).to_expr(),
+            f"grid[{d.nx}x{d.ny}]",
         )
 
     def laplacian_values(self) -> np.ndarray:
@@ -362,7 +371,7 @@ class ComplexField(_Algebra):
         return self.expr
 
     def _values(self, x, y):
-        out = self.expr.ev(x, y)
+        out = ex.evaluate(self.expr, x, y)
         return np.broadcast_to(np.asarray(out, complex), np.broadcast(x, y).shape)
 
     def evaluate(self, p: Point) -> complex:

@@ -360,8 +360,8 @@ def _l_path_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
     base inserted) is integrated once for all rows together, and likewise
     each cell of the base column; cumulative sums from the base give every
     point.  Any other batch integrates a whole L-path per point.  The values
-    at the latest points are kept: a tree evaluates every occurrence of the
-    leaf at the same points.
+    at the latest points are kept, so the trees that hold the leaf, sampled
+    one after another on one mesh, share one quadrature.
     """
     phi1, phi2 = Phi.re, Phi.im
     x0, y0 = cfg.base.x, cfg.base.y

@@ -1,4 +1,5 @@
 """Expression tree: parsing, evaluation, exact differentiation, folding."""
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati2d import DomainSpec, ExpressionError, Point, SingularityError, analytic_power
+from riccati2d import DomainSpec, ExprField, ExpressionError, Point, SingularityError, analytic_power
 from riccati2d import expressions as ex
 from riccati2d.expressions import parse_expression
 
@@ -131,3 +132,89 @@ def test_product_rule_property(x, y, a, b):
     lhs = prod.diff("x").ev(x, y)
     rhs = f.diff("x").ev(x, y) * g.ev(x, y) + f.ev(x, y) * g.diff("x").ev(x, y)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def test_shared_leaf_evaluated_once(unit_square):
+    """A leaf reached four times is evaluated once per field evaluation."""
+    calls = []
+    g = ex.Given(lambda x, y: calls.append(1) or x + y, lambda: ex.ZERO, lambda: ex.ZERO, "g")
+    f = ExprField(unit_square, (g * g) * (g * g))
+    xg, yg = unit_square.mesh()
+    s = xg + yg
+    np.testing.assert_array_equal(f.sample(), (s * s) * (s * s))
+    assert len(calls) == 1
+    f.evaluate(Point(0.5, 0.5))
+    assert len(calls) == 2
+
+
+_Q = ex.div(ex.ONE, ex.Y)
+_SIN_X = ex.Sin(ex.X)
+
+
+@pytest.mark.parametrize(
+    "expr, first",
+    [
+        (ex.div(ex.add(ex.div(ex.ONE, ex.X), _Q), _Q), "y"),
+        # a quotient's denominator is checked before its numerator is evaluated
+        (ex.div(ex.div(ex.ONE, _SIN_X), ex.mul(ex.Y, _SIN_X)), r"\(y \* sin\(x\)\)"),
+    ],
+    ids=["shared-denominator", "denominator-before-numerator"],
+)
+def test_shared_subtree_keeps_the_first_singularity(unit_square, expr, first):
+    """The denominator checked first by ev is the one that fails first."""
+    assert expr._plan is not None
+    with pytest.raises(SingularityError, match=f"denominator {first} "):
+        expr.ev(0.0, 0.0)
+    with pytest.raises(SingularityError, match=f"denominator {first} "):
+        ExprField(unit_square, expr).evaluate(Point(0.0, 0.0))
+
+
+def test_derivatives_are_memoised():
+    """Two derivatives of one node are one object, so a plan shares them."""
+    f = parse_expression("exp(0.6*x + 0.8*y) / cosh(x)")
+    assert f.diff("x") is f.diff("x")
+    assert f.diff("x").diff("y") is f.diff("x").diff("y")
+    assert f.diff("x") is not f.diff("y")
+    assert f.is_real and not (1j * f).diff("x").is_real
+
+
+_LEAVES = [ex.X, ex.Y, ex.Const(0.7), ex.Const(complex(0.3, -0.4))]
+_BINARY_OPS = [ex.add, ex.mul, ex.div, lambda a, b: ex.add(a, ex.neg(b))]
+_UNARY_OPS = [ex.Sin, ex.Cos, ex.Exp, ex.Cosh, ex.conj, ex.real, ex.imag, lambda a: ex.powi(a, 2)]
+_PLAN_POINTS = [
+    (np.linspace(-1.3, 1.1, 7)[None, :], np.linspace(-0.9, 1.2, 5)[:, None]),  # tensor grid
+    (np.array([0.31, -0.72, 1.05, 0.0, -1.2]), np.array([0.44, 0.93, -0.61, 0.17, -0.3])),
+]
+
+
+def _outcome(fn, x, y):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(x, y), None
+    except SingularityError as exc:
+        return None, str(exc)
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 5), st.integers(0, 5)),
+        min_size=2, max_size=10,
+    )
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_plan_matches_ev(steps):
+    """On trees whose nodes are reused, and on their derivatives, evaluating each
+    distinct node once gives ev's arrays bit for bit, or ev's error."""
+    pool = list(_LEAVES)
+    for binary, k, i, j in steps:  # operands counted back from the newest node
+        a, b = pool[-1 - i % len(pool)], pool[-1 - j % len(pool)]
+        pool.append(_BINARY_OPS[k % 4](a, b) if binary else _UNARY_OPS[k](a))
+    root = ex.mul(pool[-1], ex.add(pool[-1], pool[-2]))
+    for expr in (root, root.diff("x"), root.diff("x").diff("y"), root.diff("y").diff("y")):
+        for x, y in _PLAN_POINTS:
+            want, want_error = _outcome(expr.ev, x, y)
+            got, got_error = _outcome(functools.partial(ex.evaluate, expr), x, y)
+            assert got_error == want_error
+            if want_error is None:
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.array_equal(got, want, equal_nan=True)

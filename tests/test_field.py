@@ -27,6 +27,7 @@ from riccati2d import (
     write_grid_csv,
 )
 from riccati2d import expressions as ex
+from riccati2d import field as field_module
 
 
 def test_point_rejects_nonfinite():
@@ -168,6 +169,19 @@ def test_given_leaf_exact_partials(unit_square):
     xg, yg = unit_square.mesh()
     np.testing.assert_allclose(f.dy()(xg, yg), -np.exp(xg) * np.sin(yg), atol=1e-13)
     assert str(f.expr) == "given"  # fixed text, never an object address
+
+
+def test_grid_reached_twice_is_one_leaf(monkeypatch):
+    """A grid is one leaf however often it enters a tree: its differences are taken once."""
+    calls = []
+    fd1 = field_module._fd1
+    monkeypatch.setattr(field_module, "_fd1", lambda *a, **k: calls.append(1) or fd1(*a, **k))
+    g = grid_of("sin(x) + y**2", 9)
+    assert g.to_expr() is g.to_expr()
+    z = ComplexField(g, g)
+    z.dx().sample()
+    z.dy().sample()
+    assert len(calls) == 2  # one per partial
 
 
 def test_arithmetic_combinations(unit_square):
