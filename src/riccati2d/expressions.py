@@ -4,16 +4,16 @@ Node kinds: constants, which may be complex, the coordinates, sums, products,
 quotients, integer powers, exp, sin, cos, the hyperbolic pair sinh/cosh, the
 conjugate ``Conj`` and the parts ``Re``, ``Im``; numpy does complex arithmetic.
 Partial derivatives are exact (structural differentiation with light constant
-folding; d/dx conj(e) = conj(d/dx e)), which is what makes the expression
-backend usable as ground truth for the finite-difference one.  A ``Given``
-leaf stands for a real field outside that grammar (an antiderivative, grid
-samples): it evaluates by its own rule and differentiates to the partials
-attached to it, built once.  The folding constructors ``real`` and ``imag``
-emit an ``Re``/``Im`` node only as a last resort: a constant or all-real tree
-folds at once, and they distribute over sums and negation, pull out a constant
-(complex too), real factor or real denominator, and go through ``Conj``; so
-the parts of ``a + 1j*b`` are a's and b's own trees.  Text is parsed by
-Python's ``ast`` module; a whitelist maps the allowed nodes onto the trees.
+folding; d/dx conj(e) = conj(d/dx e)), which makes the trees the ground truth
+for the finite differences of grid data.  A ``Given`` leaf stands for a real
+field outside that grammar (an antiderivative, grid samples): it evaluates by
+its own rule and differentiates to the partials attached to it, built once.
+The folding constructors ``real`` and ``imag`` emit an ``Re``/``Im`` node only
+as a last resort: a constant or all-real tree folds at once, and they
+distribute over sums and negation, pull out a constant (complex too), real
+factor or real denominator, and go through ``Conj``; so the parts of
+``a + 1j*b`` are a's and b's own trees.  Text is parsed by Python's ``ast``
+module; a whitelist maps the allowed nodes onto the trees.
 
 Differentiation reuses its operands, so derivatives are DAGs: ``diff`` is
 memoised per node and variable, and ``evaluate`` computes each distinct

@@ -1,22 +1,19 @@
 """Scalar and complex fields on planar rectangles.
 
-Two interchangeable backends:
+A real field is one real expression tree (``ScalarField``, also named
+``ExprField``), a complex field one complex-valued expression
+(``ComplexField``).  Numbers and fields, real and complex, combine through
+one algebra, and only on the same rectangle; derivatives are the trees'
+own.  Data outside the expression grammar enters as ``Given`` leaves:
 
-* ``ExprField``  -- expression tree, partial derivatives are exact;
-* ``GridField``  -- uniform samples, order-2 finite differences (central in
-  the interior, one-sided at the boundary) and bilinear off-node evaluation.
+* the antiderivative operators' outputs, whose values come from quadrature
+  and whose partials are attached exactly;
+* uniform samples (``GridField``), bilinear between the nodes, whose partial
+  of order (i, j) is the leaf of the samples differenced once along each axis
+  by the order-2 stencil of that order (``_fd1`` for a first, ``_fd2`` for a
+  second derivative; central in the interior, one-sided at the boundary).
 
-The outputs of the antiderivative operators are expression fields too: their
-values come from quadrature, but they are ``Given`` leaves carrying their
-exact partials, so the expression algebra combines and differentiates them
-like any other node.  Combining a real field with a ``GridField`` resamples
-the result on that grid.
-
-A ``ComplexField`` is one complex-valued expression; a grid enters it as its
-``Given`` leaf.  Its arithmetic, conjugate and Wirtinger derivatives are
-expression operations, and its real and imaginary parts fold back to real
-trees.  Real and complex fields, and numbers, combine through one algebra;
-fields combine only on the same rectangle.
+A complex field's real and imaginary parts fold back to real trees.
 """
 from __future__ import annotations
 
@@ -151,24 +148,18 @@ class _Algebra:
 
 
 class ScalarField(_Algebra):
-    """Real-valued field on a rectangle.  Immutable; all operations are pure."""
+    """Real-valued field on a rectangle: one real expression.  Immutable."""
 
-    domain: DomainSpec
+    def __init__(self, domain: DomainSpec, expr: Union[ex.Expr, str, float]):
+        if isinstance(expr, str):
+            expr = ex.parse_expression(expr)
+        self.domain = domain
+        self.expr = ex.as_expr(expr)
 
-    # backend hooks -----------------------------------------------------
     def _values(self, x, y):
-        raise NotImplementedError
+        out = ex.evaluate(self.expr, x, y)
+        return np.broadcast_to(np.asarray(out, float), np.broadcast(x, y).shape)
 
-    def dx(self) -> "ScalarField":
-        raise NotImplementedError
-
-    def dy(self) -> "ScalarField":
-        raise NotImplementedError
-
-    def to_expr(self) -> ex.Expr:
-        raise NotImplementedError
-
-    # public evaluation -------------------------------------------------
     def evaluate(self, p: Point) -> float:
         if not self.domain.contains(p.x, p.y):
             raise DomainError(f"point ({p.x}, {p.y}) outside domain")
@@ -185,29 +176,17 @@ class ScalarField(_Algebra):
         values = np.asarray(self._values(*dom.axes()), float)
         return GridField(dom, values + np.zeros((dom.ny, dom.nx)))
 
+    def dx(self) -> "ScalarField":
+        return ScalarField(self.domain, self.expr.diff("x"))
 
-class ExprField(ScalarField):
-    def __init__(self, domain: DomainSpec, expr: Union[ex.Expr, str, float]):
-        if isinstance(expr, str):
-            expr = ex.parse_expression(expr)
-        self.domain = domain
-        self.expr = ex.as_expr(expr)
-
-    def _values(self, x, y):
-        out = ex.evaluate(self.expr, x, y)
-        return np.broadcast_to(np.asarray(out, float), np.broadcast(x, y).shape)
-
-    def dx(self) -> "ExprField":
-        return ExprField(self.domain, self.expr.diff("x"))
-
-    def dy(self) -> "ExprField":
-        return ExprField(self.domain, self.expr.diff("y"))
-
-    def to_expr(self) -> ex.Expr:
-        return self.expr
+    def dy(self) -> "ScalarField":
+        return ScalarField(self.domain, self.expr.diff("y"))
 
     def __repr__(self):
         return f"ExprField({self.expr})"
+
+
+ExprField = ScalarField  # the name the constructors use: a real field is its expression
 
 
 def _fd1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -250,7 +229,32 @@ def _bilinear(d: DomainSpec, v: np.ndarray, x, y):
     )
 
 
+def _stencil(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """The order-``order`` derivative along ``axis``: ``_fd1`` for the first,
+    ``_fd2`` for the second, ``_fd2`` again for every two orders above."""
+    for _ in range(order // 2):
+        values = _fd2(values, h, axis)
+    return _fd1(values, h, axis) if order % 2 else values
+
+
+def _grid_leaf(d: DomainSpec, samples: np.ndarray, i: int = 0, j: int = 0) -> ex.Given:
+    """Leaf of the partial of order (i, j) of the samples: each axis's stencil
+    applied once to the samples, bilinear between the nodes.  Its own partials
+    are the leaves of orders (i + 1, j) and (i, j + 1), built at its first
+    ``diff`` of each variable."""
+    values = _stencil(_stencil(samples, d.hx, 1, i), d.hy, 0, j)
+    return ex.Given(
+        functools.partial(_bilinear, d, values),
+        lambda: _grid_leaf(d, samples, i + 1, j),
+        lambda: _grid_leaf(d, samples, i, j + 1),
+        f"grid[{d.nx}x{d.ny}]" + (f"_{'x' * i}{'y' * j}" if i or j else ""),
+    )
+
+
 class GridField(ScalarField):
+    """Samples at the domain's nodes (row k at y_k), as an expression field on
+    their leaf; ``values`` keeps them for CSV output."""
+
     def __init__(self, domain: DomainSpec, values: np.ndarray):
         values = np.asarray(values, float)
         if values.shape != (domain.ny, domain.nx):
@@ -259,53 +263,21 @@ class GridField(ScalarField):
             )
         if not np.all(np.isfinite(values)):
             raise ParameterError("grid samples must be finite")
-        self.domain = domain
+        values.setflags(write=False)
         self.values = values
-        self.values.setflags(write=False)
-
-    def _values(self, x, y):
-        return _bilinear(self.domain, self.values, x, y)
-
-    def dx(self) -> "GridField":
-        return GridField(self.domain, _fd1(self.values, self.domain.hx, axis=1))
-
-    def dy(self) -> "GridField":
-        return GridField(self.domain, _fd1(self.values, self.domain.hy, axis=0))
-
-    def to_expr(self) -> ex.Expr:
-        """The samples as a leaf whose partials are the grid's own differences:
-        one leaf per grid, so a grid reached twice is one node of a tree."""
-        return self._leaf
-
-    @functools.cached_property
-    def _leaf(self) -> ex.Given:
-        # the leaf holds the samples, not the grid, so keeping it here makes no cycle
-        d, v = self.domain, self.values
-        return ex.Given(
-            functools.partial(_bilinear, d, v),
-            lambda: GridField(d, _fd1(v, d.hx, axis=1)).to_expr(),
-            lambda: GridField(d, _fd1(v, d.hy, axis=0)).to_expr(),
-            f"grid[{d.nx}x{d.ny}]",
-        )
-
-    def laplacian_values(self) -> np.ndarray:
-        """5-point stencil in the interior, order-2 one-sided at the boundary."""
-        return _fd2(self.values, self.domain.hx, axis=1) + _fd2(
-            self.values, self.domain.hy, axis=0
-        )
+        super().__init__(domain, _grid_leaf(domain, values))
 
 
 def _expr(v) -> ex.Expr:
-    return v.to_expr() if isinstance(v, (ScalarField, ComplexField)) else ex.as_expr(v)
+    return v.expr if isinstance(v, (ScalarField, ComplexField)) else ex.as_expr(v)
 
 
 def _combine(a, b, op):
     """``op`` on two operands, fields or numbers, at least one of them a field.
 
-    Fields must lie on the same rectangle.  A complex operand gives a complex
-    field; two real operands with a grid among them give a grid of the values
-    at its nodes; otherwise the expressions combine.  Any other operand type
-    gives NotImplemented.
+    Fields must lie on the same rectangle.  The expressions combine, into a
+    complex field if either operand is complex.  Any other operand type gives
+    NotImplemented.
     """
     fields = (ScalarField, ComplexField)
     field, other = (a, b) if isinstance(a, fields) else (b, a)
@@ -316,25 +288,19 @@ def _combine(a, b, op):
             raise DomainError(f"cannot combine fields on different rectangles {rects}")
     elif not isinstance(other, (int, float, complex)):
         return NotImplemented
+    expr = op(_expr(a), _expr(b))
     if isinstance(a, (ComplexField, complex)) or isinstance(b, (ComplexField, complex)):
-        return ComplexField.from_expr(field.domain, op(_expr(a), _expr(b)))
-    grid = a if isinstance(a, GridField) else b if isinstance(b, GridField) else None
-    if grid is None:
-        return ExprField(field.domain, op(_expr(a), _expr(b)))
-    xs, ys = grid.domain.axes()
-    values = (v._values(xs, ys) if isinstance(v, ScalarField) else v for v in (a, b))
-    return GridField(grid.domain, op(*values))
+        return ComplexField.from_expr(field.domain, expr)
+    return ScalarField(field.domain, expr)
 
 
 def exp_field(f: ScalarField) -> ScalarField:
     """Pointwise exponential with exact derivative propagation."""
-    if isinstance(f, GridField):
-        return GridField(f.domain, np.exp(f.values))
-    return ExprField(f.domain, ex.Exp(f.expr))
+    return ScalarField(f.domain, ex.Exp(f.expr))
 
 
-def constant_field(value: float, domain: DomainSpec) -> ExprField:
-    return ExprField(domain, ex.Const(float(value)))
+def constant_field(value: float, domain: DomainSpec) -> ScalarField:
+    return ScalarField(domain, ex.Const(float(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +326,12 @@ class ComplexField(_Algebra):
         return cls.from_expr(domain, ex.as_expr(complex(value)))
 
     @functools.cached_property
-    def re(self) -> ExprField:
-        return ExprField(self.domain, ex.real(self.expr))
+    def re(self) -> ScalarField:
+        return ScalarField(self.domain, ex.real(self.expr))
 
     @functools.cached_property
-    def im(self) -> ExprField:
-        return ExprField(self.domain, ex.imag(self.expr))
-
-    def to_expr(self) -> ex.Expr:
-        return self.expr
+    def im(self) -> ScalarField:
+        return ScalarField(self.domain, ex.imag(self.expr))
 
     def _values(self, x, y):
         out = ex.evaluate(self.expr, x, y)
@@ -418,8 +381,6 @@ def d_zbar(f: FieldLike) -> ComplexField:
 
 
 def laplacian(f: FieldLike) -> FieldLike:
-    if isinstance(f, GridField):
-        return GridField(f.domain, f.laplacian_values())
     return f.dx().dx() + f.dy().dy()
 
 
@@ -465,14 +426,30 @@ def write_grid_csv(path, grid: GridField) -> None:
 
 
 def read_grid_csv(path) -> GridField:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The grid ``write_grid_csv`` wrote; malformed content raises DomainError
+    naming the file and the line."""
+
+    def numbers(line: int, cells: list, kind=float) -> list:
+        try:
+            return [kind(c) for c in cells]
+        except ValueError:
+            what = "integers" if kind is int else "numbers"
+            got = ",".join(cells)
+            raise DomainError(f"{path}: line {line}: expected {what}, got {got!r}") from None
+
+    # a byte that is not UTF-8 reads as U+FFFD, which no number parses
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip().split(",")
         if len(header) != 6:
-            raise DomainError(f"{path}: malformed CSV header")
-        nx, ny = int(header[0]), int(header[1])
-        x_min, x_max, y_min, y_max = map(float, header[2:])
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    values = np.asarray(rows, float)
-    if values.shape != (ny, nx):
-        raise DomainError(f"{path}: expected {ny} rows of {nx} values, got {values.shape}")
-    return GridField(DomainSpec(x_min, x_max, y_min, y_max, nx, ny), values)
+            raise DomainError(f"{path}: line 1: malformed CSV header")
+        nx, ny = numbers(1, header[:2], int)
+        x_min, x_max, y_min, y_max = numbers(1, header[2:])
+        rows = []
+        for line, text in enumerate(fh, 2):
+            if text.strip():
+                rows.append(numbers(line, text.strip().split(",")))
+                if len(rows[-1]) != nx:
+                    raise DomainError(f"{path}: line {line}: {len(rows[-1])} values, expected {nx}")
+    if len(rows) != ny:
+        raise DomainError(f"{path}: expected {ny} rows of {nx} values, got {len(rows)} rows")
+    return GridField(DomainSpec(x_min, x_max, y_min, y_max, nx, ny), rows)

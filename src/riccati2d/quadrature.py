@@ -36,13 +36,10 @@ from .errors import (
 from .field import (
     ComplexField,
     DomainSpec,
-    ExprField,
     Point,
     ScalarField,
     max_abs,
 )
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 # QUADPACK qk15 on [-1, 1], each panel's 7 Gauss nodes first: _G7_WEIGHTS on
 # _K15_NODES[:7] is 7-point Gauss-Legendre (exact to degree 13), and
@@ -105,24 +102,6 @@ def _weighted_nodes(fn, a, b, t, *weights):
         s = a[None, ...] + t[lo : lo + step][expand] * (b - a)[None, ...]
         vals = np.broadcast_to(np.asarray(fn(s)), s.shape)
         yield (vals, *(w[lo : lo + step][expand] for w in weights))
-
-
-def _composite_gl(fn, a, b, panels: int):
-    """Composite Gauss-Legendre for int_a^b fn(s) ds, the fixed-panel rule of
-    polyline line integrals.  Each chunk of nodes continues the running sum
-    (numpy's node-order sum over a batch; a single point in one chunk is
-    summed pairwise)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    t = ((np.arange(panels)[:, None] + (_GL_NODES[None, :] + 1.0) / 2.0) / panels).reshape(-1)
-    w = np.tile(_GL_WEIGHTS / (2.0 * panels), panels)
-    total = None
-    for vals, w_chunk in _weighted_nodes(fn, a, b, t, w):
-        terms = w_chunk * vals
-        if total is not None:
-            terms[0] += total
-        total = np.sum(terms, axis=0)
-    return (b - a) * total
 
 
 def _fold(terms, total):
@@ -269,8 +248,8 @@ def line_integral_dz(g: ComplexField, gamma: Contour) -> complex:
     """Integral of g dz along the contour.
 
     Circles use the composite trapezoid rule on the angle (geometric
-    convergence for smooth periodic integrands); polylines use per-segment
-    composite 8-point Gauss-Legendre.
+    convergence for smooth periodic integrands); polylines use composite K15
+    on ``n_per_segment`` equal panels per segment.
     """
     gamma.check_inside(g.domain)
     if gamma.kind == "circle":
@@ -288,7 +267,7 @@ def line_integral_dz(g: ComplexField, gamma: Contour) -> complex:
         def integrand(s, p=p, dzx=dzx, dzy=dzy):
             return g(p.x + s * dzx, p.y + s * dzy)
 
-        val = _composite_gl(integrand, 0.0, 1.0, gamma.n_per_segment)
+        val = _gauss_kronrod(integrand, 0.0, 1.0, gamma.n_per_segment)[0]
         total += complex(val) * complex(dzx, dzy)
     return total
 
@@ -411,16 +390,16 @@ def _l_path_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
 
 def _antiderivative(
     Phi: ComplexField, cfg: AntiderivativeConfig, sign: float, name: str
-) -> ExprField:
+) -> ScalarField:
     """Expression field whose values come from L-path quadrature and whose
     partials are the exact d_x phi = 2 Phi1, d_y phi = sign * 2 Phi2."""
     leaf = ex.Given(
         _l_path_value(Phi, cfg, sign),
-        lambda: (2.0 * Phi.re).to_expr(),
-        lambda: (2.0 * sign * Phi.im).to_expr(),
+        lambda: (2.0 * Phi.re).expr,
+        lambda: (2.0 * sign * Phi.im).expr,
         f"{name}[Phi]",
     )
-    return ExprField(Phi.domain, leaf)
+    return ScalarField(Phi.domain, leaf)
 
 
 def op_Abar(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:

@@ -372,6 +372,29 @@ def test_csv_on_another_rectangle_is_a_domain_error(tmp_path):
     assert "different rectangles" in entry["reason"]
 
 
+@pytest.mark.parametrize(
+    "header, rows, line",
+    [
+        ("3,3,0,1,0,1", ["1,2,3", "1,2", "1,2,3"], 3),
+        ("3,3,0,1,0,1", ["1,2,3", "1,2,3", "1,2,x"], 4),
+        ("3.5,3,0,1,0,1", ["1,2,3", "1,2,3", "1,2,3"], 1),
+        ("3,3,0,1,0,1", ["1,2,3", "\xff\xfe,2,3", "1,2,3"], 3),
+    ],
+    ids=["ragged-row", "non-numeric-cell", "non-integer-nx", "non-utf8-bytes"],
+)
+def test_malformed_csv_is_a_domain_error(tmp_path, header, rows, line):
+    """Bad CSV content is the input's fault: a DomainError naming the file and the
+    line, exit 1, never exit 4, the code for a defect of the program."""
+    csv = tmp_path / "u.csv"
+    csv.write_bytes(("\n".join([header, *rows]) + "\n").encode("latin-1"))
+    text = f"case = darboux\ndomain = 0 1 0 1 3 3\nu = csv {csv}\nf = 1\nnu = 0\n"
+    out = tmp_path / "r.json"
+    assert main(["--config", write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["identities"][0]
+    assert entry["error_type"] == "DomainError" and not entry["pass"]
+    assert f"{csv}: line {line}:" in entry["reason"]
+
+
 def test_nan_residual_fails_its_gate():
     """exp(800 x) overflows; the resulting NaN residual must fail the f gate."""
     text = (

@@ -1,4 +1,4 @@
-"""Scalar/complex fields: backends, Wirtinger calculus, grid FD order, CSV I/O."""
+"""Scalar/complex fields: algebra, grid leaves and their FD order, Wirtinger calculus, CSV I/O."""
 import math
 
 import numpy as np
@@ -16,6 +16,7 @@ from riccati2d import (
     Point,
     ResolutionError,
     check_nonvanishing,
+    compatibility_check,
     constant_field,
     d_z,
     d_zbar,
@@ -144,7 +145,7 @@ def test_grid_laplacian_order_two():
         g = grid_of("exp(x)*cos(y) + x**4", n)
         exact = ExprField(g.domain, "12*x**2")
         xg, yg = g.domain.mesh()
-        errs.append(float(np.max(np.abs(g.laplacian_values() - exact(xg, yg)))))
+        errs.append(float(np.max(np.abs(laplacian(g).sample() - exact(xg, yg)))))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.0 < coarse / fine < 5.0
 
@@ -177,11 +178,36 @@ def test_grid_reached_twice_is_one_leaf(monkeypatch):
     fd1 = field_module._fd1
     monkeypatch.setattr(field_module, "_fd1", lambda *a, **k: calls.append(1) or fd1(*a, **k))
     g = grid_of("sin(x) + y**2", 9)
-    assert g.to_expr() is g.to_expr()
+    twice = g + g
+    assert twice.expr.a is twice.expr.b is g.expr
     z = ComplexField(g, g)
     z.dx().sample()
     z.dy().sample()
     assert len(calls) == 2  # one per partial
+
+
+def test_gradient_norm_ratio_of_a_grid_differences_once_per_axis(monkeypatch):
+    """f.dx() and f.dy() each reached twice are one leaf each: 2 differences, not 4."""
+    calls = []
+    fd1 = field_module._fd1
+    monkeypatch.setattr(field_module, "_fd1", lambda *a, **k: calls.append(1) or fd1(*a, **k))
+    g = grid_of("exp(x) * cos(y)", 41)
+    gradient_norm_ratio(g).sample()
+    assert len(calls) == 2
+
+
+def test_grid_second_derivatives_are_order_two_on_the_whole_rectangle():
+    """d_zbar(u/f) f^2 of a grid u differentiates u twice in the compatibility
+    gate; one stencil per order keeps its error O(h^2) up to the edges."""
+    ns = (21, 41, 81)
+    errs = []
+    for n in ns:
+        dom = DomainSpec(0.0, 1.0, 0.0, 1.0, n, n)
+        u = ExprField(dom, "exp(0.6*x + 0.8*y)").to_grid()
+        f = ExprField(dom, "exp(x)")
+        errs.append(compatibility_check(1j * (d_zbar(u / f) * (f * f)), "casirot"))
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
+    assert min(orders) >= 1.7, (errs, orders)
 
 
 def test_arithmetic_combinations(unit_square):
