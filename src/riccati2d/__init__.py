@@ -22,6 +22,7 @@ from .field import (
     ComplexField,
     DomainSpec,
     ExprField,
+    Field,
     GridField,
     Point,
     ScalarField,

@@ -22,11 +22,9 @@ import numpy as np
 from .errors import ConfigError, ExpressionError, ToolkitError
 from .expressions import parse_expression
 from .field import (
-    ComplexField,
     DomainSpec,
-    ExprField,
+    Field,
     Point,
-    ScalarField,
     laplacian,
     max_abs,
     read_grid_csv,
@@ -34,7 +32,7 @@ from .field import (
 )
 from . import oracle
 from .oracle import OracleSolution
-from .quadrature import AntiderivativeConfig, Contour
+from .quadrature import _K15_NODES, AntiderivativeConfig, Contour
 from .riccati import (
     RiccatiProblem,
     darboux_potential_eta,
@@ -61,10 +59,10 @@ from .theorems import (
 )
 
 _MAX_GRID_POINTS = 2**22  # nx * ny of a domain
-_MAX_CONTOUR_NODES = 2**20  # circle nodes, or nodes per polyline segment, at the finest level
+_MAX_CONTOUR_NODES = 2**20  # integrand points per circle or polyline segment, finest level
 _MAX_POLYLINE_VERTICES = 2**10  # line integrals loop once per polyline segment
 
-_Source = Callable[[DomainSpec], ScalarField]
+_Source = Callable[[DomainSpec], Field]
 _ORACLE_KEYS = ("oracle", "oracle_b", "oracle_c", "oracle_d")
 
 
@@ -77,7 +75,7 @@ class RunConfig:
     f: Optional[_Source] = None
     u: Optional[_Source] = None
     nu: Optional[_Source] = None
-    w: Optional[Callable[[DomainSpec], ComplexField]] = None
+    w: Optional[Callable[[DomainSpec], Field]] = None
     z0: Point = Point(0.0, 0.0)
     n_terms: int = 10
     contour: Contour = Contour.circle(0.0, 0.0, 1.0, 256)
@@ -148,10 +146,10 @@ def _source(text: str) -> _Source:
         expr = parse_expression(text)
     except ExpressionError as exc:
         raise ValueError(f"not 'csv PATH' or a valid expression: {exc}") from None
-    return lambda domain: ExprField(domain, expr)
+    return lambda domain: Field(domain, expr)
 
 
-def _w(text: str) -> Callable[[DomainSpec], ComplexField]:
+def _w(text: str) -> Callable[[DomainSpec], Field]:
     parts = text.split()
     if parts == ["expz"]:
         return lambda domain: analytic_exp(domain)
@@ -250,11 +248,11 @@ _CENTRED_SQUARE = DomainSpec(-1.2, 1.2, -1.2, 1.2, 41, 41, Point(0, 0))
 _TEST_HALF_WIDTH = 0.28
 
 
-def _load(source: Optional[_Source], default: str, domain: DomainSpec) -> ScalarField:
+def _load(source: Optional[_Source], default: str, domain: DomainSpec) -> Field:
     return (source or _source(default))(domain)
 
 
-def _default_problem(domain: DomainSpec, nu: ScalarField) -> RiccatiProblem:
+def _default_problem(domain: DomainSpec, nu: Field) -> RiccatiProblem:
     return RiccatiProblem(nu, domain, AntiderivativeConfig(domain.base))
 
 
@@ -431,15 +429,17 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_refine(cfg: RunConfig, line: Optional[int] = None) -> None:
-    """refine >= 0, and the finest contour level stays within _MAX_CONTOUR_NODES."""
+    """refine >= 0, and the finest contour level evaluates at most _MAX_CONTOUR_NODES
+    integrand points per circle or polyline segment (a polyline panel has K15's nodes)."""
     n = cfg.contour.resolution()
+    points = n if cfg.contour.kind == "circle" else n * len(_K15_NODES)
     if cfg.refine < 0:
         raise ConfigError(f"refine must be >= 0, got {cfg.refine}", line)
     # every contour has resolution >= 1, so refine > 20 always overflows the cap
-    if cfg.refine > 20 or n << cfg.refine > _MAX_CONTOUR_NODES:
+    if cfg.refine > 20 or points << cfg.refine > _MAX_CONTOUR_NODES:
         raise ConfigError(
-            f"refine = {cfg.refine} takes a contour of {n} nodes (per circle or polyline "
-            f"segment) past {_MAX_CONTOUR_NODES} nodes",
+            f"refine = {cfg.refine} takes a contour of {points} integrand points (per circle "
+            f"or polyline segment) past {_MAX_CONTOUR_NODES} points",
             line,
         )
 

@@ -1,10 +1,11 @@
-"""Scalar and complex fields on planar rectangles.
+"""Fields on planar rectangles.
 
-A real field is one real expression tree (``ScalarField``, also named
-``ExprField``), a complex field one complex-valued expression
-(``ComplexField``).  Numbers and fields, real and complex, combine through
-one algebra, and only on the same rectangle; derivatives are the trees'
-own.  Data outside the expression grammar enters as ``Given`` leaves:
+A field (``Field``) is a rectangle and one expression tree.  It is real when
+its tree is (``Expr.is_real``) and complex otherwise, and it samples as
+float64 or complex128 to match.  Numbers and fields combine through one
+algebra, and only on the same rectangle; derivatives are the trees' own, and
+the real and imaginary parts of a complex field fold back to real trees.
+Data outside the expression grammar enters as ``Given`` leaves:
 
 * the antiderivative operators' outputs, whose values come from quadrature
   and whose partials are attached exactly;
@@ -12,8 +13,6 @@ own.  Data outside the expression grammar enters as ``Given`` leaves:
   of order (i, j) is the leaf of the samples differenced once along each axis
   by the order-2 stencil of that order (``_fd1`` for a first, ``_fd2`` for a
   second derivative; central in the interior, one-sided at the boundary).
-
-A complex field's real and imaginary parts fold back to real trees.
 """
 from __future__ import annotations
 
@@ -112,12 +111,18 @@ class DomainSpec:
 
 
 # ---------------------------------------------------------------------------
-# Scalar fields
+# Fields
 # ---------------------------------------------------------------------------
 
 
-class _Algebra:
-    """``+ - * /`` and negation of fields and numbers, all through ``_combine``."""
+class Field:
+    """A rectangle and one expression tree, real or complex as the tree is.  Immutable."""
+
+    def __init__(self, domain: DomainSpec, expr: Union[ex.Expr, str, complex]):
+        if isinstance(expr, str):
+            expr = ex.parse_expression(expr)
+        self.domain = domain
+        self.expr = ex.as_expr(expr)
 
     def __add__(self, other):
         return _combine(self, other, operator.add)
@@ -146,24 +151,15 @@ class _Algebra:
     def __neg__(self):
         return _combine(-1.0, self, operator.mul)
 
-
-class ScalarField(_Algebra):
-    """Real-valued field on a rectangle: one real expression.  Immutable."""
-
-    def __init__(self, domain: DomainSpec, expr: Union[ex.Expr, str, float]):
-        if isinstance(expr, str):
-            expr = ex.parse_expression(expr)
-        self.domain = domain
-        self.expr = ex.as_expr(expr)
-
     def _values(self, x, y):
-        out = ex.evaluate(self.expr, x, y)
-        return np.broadcast_to(np.asarray(out, float), np.broadcast(x, y).shape)
+        # numpy's dtype is the tree's: only an Re or Im node drops a complex part
+        out = np.asarray(ex.evaluate(self.expr, x, y))
+        return np.broadcast_to(out, np.broadcast(x, y).shape)
 
-    def evaluate(self, p: Point) -> float:
+    def evaluate(self, p: Point) -> Union[float, complex]:
         if not self.domain.contains(p.x, p.y):
             raise DomainError(f"point ({p.x}, {p.y}) outside domain")
-        return float(self._values(np.asarray(p.x, float), np.asarray(p.y, float)))
+        return self._values(np.asarray(p.x, float), np.asarray(p.y, float)).item()
 
     def __call__(self, x, y):
         return self._values(np.asarray(x, float), np.asarray(y, float))
@@ -172,21 +168,42 @@ class ScalarField(_Algebra):
         return self._values(*self.domain.axes(nx, ny, margin))
 
     def to_grid(self, domain: Optional[DomainSpec] = None) -> "GridField":
+        if not self.expr.is_real:
+            raise ParameterError("a complex field has no real grid; take .re and .im")
         dom = domain or self.domain
-        values = np.asarray(self._values(*dom.axes()), float)
-        return GridField(dom, values + np.zeros((dom.ny, dom.nx)))
+        return GridField(dom, self._values(*dom.axes()) + np.zeros((dom.ny, dom.nx)))
 
-    def dx(self) -> "ScalarField":
-        return ScalarField(self.domain, self.expr.diff("x"))
+    def dx(self) -> "Field":
+        return Field(self.domain, self.expr.diff("x"))
 
-    def dy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.expr.diff("y"))
+    def dy(self) -> "Field":
+        return Field(self.domain, self.expr.diff("y"))
+
+    @functools.cached_property
+    def re(self) -> "Field":
+        return Field(self.domain, ex.real(self.expr))
+
+    @functools.cached_property
+    def im(self) -> "Field":
+        return Field(self.domain, ex.imag(self.expr))
+
+    def conj(self) -> "Field":
+        return Field(self.domain, ex.conj(self.expr))
+
+    def abs2(self) -> "Field":
+        return (self * self.conj()).re
 
     def __repr__(self):
-        return f"ExprField({self.expr})"
+        return f"Field({self.expr})"
 
 
-ExprField = ScalarField  # the name the constructors use: a real field is its expression
+# names that callers outside the package (bench/, user scripts) still use
+ScalarField = ExprField = Field
+
+
+def ComplexField(re: Field, im: Field) -> Field:
+    """The field re + i im."""
+    return re + 1j * im
 
 
 def _fd1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -251,7 +268,7 @@ def _grid_leaf(d: DomainSpec, samples: np.ndarray, i: int = 0, j: int = 0) -> ex
     )
 
 
-class GridField(ScalarField):
+class GridField(Field):
     """Samples at the domain's nodes (row k at y_k), as an expression field on
     their leaf; ``values`` keeps them for CSV output."""
 
@@ -269,122 +286,50 @@ class GridField(ScalarField):
 
 
 def _expr(v) -> ex.Expr:
-    return v.expr if isinstance(v, (ScalarField, ComplexField)) else ex.as_expr(v)
+    return v.expr if isinstance(v, Field) else ex.as_expr(v)
 
 
 def _combine(a, b, op):
     """``op`` on two operands, fields or numbers, at least one of them a field.
 
-    Fields must lie on the same rectangle.  The expressions combine, into a
-    complex field if either operand is complex.  Any other operand type gives
+    Fields must lie on the same rectangle.  Any other operand type gives
     NotImplemented.
     """
-    fields = (ScalarField, ComplexField)
-    field, other = (a, b) if isinstance(a, fields) else (b, a)
-    if isinstance(other, fields):
+    field, other = (a, b) if isinstance(a, Field) else (b, a)
+    if isinstance(other, Field):
         corners = [(d.x_min, d.x_max, d.y_min, d.y_max) for d in (field.domain, other.domain)]
         if corners[0] != corners[1]:
             rects = " and ".join("[%r, %r] x [%r, %r]" % c for c in corners)
             raise DomainError(f"cannot combine fields on different rectangles {rects}")
     elif not isinstance(other, (int, float, complex)):
         return NotImplemented
-    expr = op(_expr(a), _expr(b))
-    if isinstance(a, (ComplexField, complex)) or isinstance(b, (ComplexField, complex)):
-        return ComplexField.from_expr(field.domain, expr)
-    return ScalarField(field.domain, expr)
+    return Field(field.domain, op(_expr(a), _expr(b)))
 
 
-def exp_field(f: ScalarField) -> ScalarField:
+def exp_field(f: Field) -> Field:
     """Pointwise exponential with exact derivative propagation."""
-    return ScalarField(f.domain, ex.Exp(f.expr))
+    return Field(f.domain, ex.Exp(f.expr))
 
 
-def constant_field(value: float, domain: DomainSpec) -> ScalarField:
-    return ScalarField(domain, ex.Const(float(value)))
+def constant_field(value: complex, domain: DomainSpec) -> Field:
+    return Field(domain, ex.Const(complex(value)))
 
 
-# ---------------------------------------------------------------------------
-# Complex fields
-# ---------------------------------------------------------------------------
-
-
-class ComplexField(_Algebra):
-    """Complex-valued field on a rectangle: one complex expression."""
-
-    def __init__(self, re: ScalarField, im: ScalarField):
-        joined = re + 1j * im
-        self.domain, self.expr = joined.domain, joined.expr
-
-    @classmethod
-    def from_expr(cls, domain: DomainSpec, expr: ex.Expr) -> "ComplexField":
-        field = cls.__new__(cls)
-        field.domain, field.expr = domain, expr
-        return field
-
-    @classmethod
-    def constant(cls, value: complex, domain: DomainSpec) -> "ComplexField":
-        return cls.from_expr(domain, ex.as_expr(complex(value)))
-
-    @functools.cached_property
-    def re(self) -> ScalarField:
-        return ScalarField(self.domain, ex.real(self.expr))
-
-    @functools.cached_property
-    def im(self) -> ScalarField:
-        return ScalarField(self.domain, ex.imag(self.expr))
-
-    def _values(self, x, y):
-        out = ex.evaluate(self.expr, x, y)
-        return np.broadcast_to(np.asarray(out, complex), np.broadcast(x, y).shape)
-
-    def evaluate(self, p: Point) -> complex:
-        if not self.domain.contains(p.x, p.y):
-            raise DomainError(f"point ({p.x}, {p.y}) outside domain")
-        return complex(self._values(np.asarray(p.x, float), np.asarray(p.y, float)))
-
-    def __call__(self, x, y):
-        return self._values(np.asarray(x, float), np.asarray(y, float))
-
-    def sample(self, nx=None, ny=None, margin: int = 0):
-        return self._values(*self.domain.axes(nx, ny, margin))
-
-    def conj(self) -> "ComplexField":
-        return ComplexField.from_expr(self.domain, ex.conj(self.expr))
-
-    def abs2(self) -> ScalarField:
-        return (self * self.conj()).re
-
-    def dx(self) -> "ComplexField":
-        return ComplexField.from_expr(self.domain, self.expr.diff("x"))
-
-    def dy(self) -> "ComplexField":
-        return ComplexField.from_expr(self.domain, self.expr.diff("y"))
-
-    def dz(self) -> "ComplexField":
-        return d_z(self)
-
-    def dzbar(self) -> "ComplexField":
-        return d_zbar(self)
-
-
-FieldLike = Union[ScalarField, ComplexField]
-
-
-def d_z(f: FieldLike) -> ComplexField:
+def d_z(f: Field) -> Field:
     """(d_x - i d_y) / 2 of a real or complex field."""
     return 0.5 * (f.dx() - 1j * f.dy())
 
 
-def d_zbar(f: FieldLike) -> ComplexField:
+def d_zbar(f: Field) -> Field:
     """(d_x + i d_y) / 2 of a real or complex field."""
     return 0.5 * (f.dx() + 1j * f.dy())
 
 
-def laplacian(f: FieldLike) -> FieldLike:
+def laplacian(f: Field) -> Field:
     return f.dx().dx() + f.dy().dy()
 
 
-def gradient_norm_ratio(f: ScalarField) -> ScalarField:
+def gradient_norm_ratio(f: Field) -> Field:
     """(|grad f| / f)**2 pointwise; f must be nonvanishing on the rectangle."""
     check_nonvanishing(f, "f")
     return (f.dx() * f.dx() + f.dy() * f.dy()) / (f * f)
@@ -395,18 +340,18 @@ def gradient_norm_ratio(f: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def max_abs(f: FieldLike, nx=None, ny=None, margin: int = 0) -> float:
+def max_abs(f: Field, nx=None, ny=None, margin: int = 0) -> float:
     return float(np.max(np.abs(f.sample(nx, ny, margin))))
 
 
-def min_abs_location(f: FieldLike, nx=None, ny=None) -> tuple[float, Point]:
+def min_abs_location(f: Field, nx=None, ny=None) -> tuple[float, Point]:
     xs, ys = f.domain.axes(nx, ny)
     vals = np.abs(f.sample(nx, ny))
     j, i = np.unravel_index(np.argmin(vals), vals.shape)
     return float(vals[j, i]), Point(float(xs[0, i]), float(ys[j, 0]))
 
 
-def check_nonvanishing(f: FieldLike, name: str, threshold: float = NONVANISHING_EPS) -> None:
+def check_nonvanishing(f: Field, name: str, threshold: float = NONVANISHING_EPS) -> None:
     m, at = min_abs_location(f)
     if not m > threshold:
         raise NonvanishingError(name, m, (at.x, at.y))

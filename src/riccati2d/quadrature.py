@@ -4,7 +4,7 @@ The antiderivative operators integrate along the canonical L-path (vertical
 segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
 built around.  Mesh samples, whose abscissae and ordinates vary along
-different axes (as ``ScalarField.sample`` passes them), integrate each cell
+different axes (as ``Field.sample`` passes them), integrate each cell
 between neighbouring abscissae and each cell of the base column once and
 add the cells up with cumulative sums from the base; any other points
 (contour nodes, dense arrays, single points) get one adaptive L-path each.
@@ -33,13 +33,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .field import (
-    ComplexField,
-    DomainSpec,
-    Point,
-    ScalarField,
-    max_abs,
-)
+from .field import DomainSpec, Field, Point, max_abs
 
 # QUADPACK qk15 on [-1, 1], each panel's 7 Gauss nodes first: _G7_WEIGHTS on
 # _K15_NODES[:7] is 7-point Gauss-Legendre (exact to degree 13), and
@@ -244,7 +238,7 @@ class Contour:
                     raise DomainError(f"polyline vertex ({p.x}, {p.y}) outside the domain")
 
 
-def line_integral_dz(g: ComplexField, gamma: Contour) -> complex:
+def line_integral_dz(g: Field, gamma: Contour) -> complex:
     """Integral of g dz along the contour.
 
     Circles use the composite trapezoid rule on the angle (geometric
@@ -272,7 +266,7 @@ def line_integral_dz(g: ComplexField, gamma: Contour) -> complex:
     return total
 
 
-def integrate_1form(p_field: ScalarField, q_field: ScalarField, gamma: Contour) -> float:
+def integrate_1form(p_field: Field, q_field: Field, gamma: Contour) -> float:
     """Integral of P dx + Q dy along a polyline contour (adaptive per segment)."""
     if gamma.kind != "polyline":
         raise ContourError("integrate_1form expects a polyline contour")
@@ -294,7 +288,7 @@ def integrate_1form(p_field: ScalarField, q_field: ScalarField, gamma: Contour) 
 # ---------------------------------------------------------------------------
 
 
-def compatibility_check(Phi: ComplexField, which: str) -> float:
+def compatibility_check(Phi: Field, which: str) -> float:
     """Max sampled |d_y Phi1 -/+ d_x Phi2| for which = casirot / casirot_plus."""
     if which == "casirot":
         resid = Phi.re.dy() - Phi.im.dx()
@@ -305,7 +299,7 @@ def compatibility_check(Phi: ComplexField, which: str) -> float:
     return max_abs(resid)
 
 
-def _require_compatible(Phi: ComplexField, which: str, tol: float) -> None:
+def _require_compatible(Phi: Field, which: str, tol: float) -> None:
     residual = compatibility_check(Phi, which)
     if not residual <= tol:
         raise CompatibilityError(which, residual, tol)
@@ -332,7 +326,7 @@ def _from_base(fn, a, b, base: int) -> np.ndarray:
     return np.concatenate([left, np.zeros(cells.shape[:-1] + (1,)), right], axis=-1)
 
 
-def _l_path_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
+def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c.
 
     On a tensor grid each cell between consecutive distinct abscissae (the
@@ -388,9 +382,7 @@ def _l_path_value(Phi: ComplexField, cfg: AntiderivativeConfig, sign: float):
     return value
 
 
-def _antiderivative(
-    Phi: ComplexField, cfg: AntiderivativeConfig, sign: float, name: str
-) -> ScalarField:
+def _antiderivative(Phi: Field, cfg: AntiderivativeConfig, sign: float, name: str) -> Field:
     """Expression field whose values come from L-path quadrature and whose
     partials are the exact d_x phi = 2 Phi1, d_y phi = sign * 2 Phi2."""
     leaf = ex.Given(
@@ -399,10 +391,10 @@ def _antiderivative(
         lambda: (2.0 * sign * Phi.im).expr,
         f"{name}[Phi]",
     )
-    return ScalarField(Phi.domain, leaf)
+    return Field(Phi.domain, leaf)
 
 
-def op_Abar(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
+def op_Abar(Phi: Field, cfg: AntiderivativeConfig) -> Field:
     """Reconstruct the real field phi with d_zbar(phi) = Phi, up to the constant c.
 
     Requires d_y Phi1 - d_x Phi2 = 0 within cfg.compat_tol.  The returned
@@ -413,7 +405,7 @@ def op_Abar(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
     return _antiderivative(Phi, cfg, +1.0, "op_Abar")
 
 
-def op_A(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
+def op_A(Phi: Field, cfg: AntiderivativeConfig) -> Field:
     """Reconstruct the real field phi with d_z(phi) = Phi, up to the constant c.
 
     Requires d_y Phi1 + d_x Phi2 = 0 within cfg.compat_tol.  Exact partials:
@@ -424,7 +416,7 @@ def op_A(Phi: ComplexField, cfg: AntiderivativeConfig) -> ScalarField:
 
 
 def antiderivative_along(
-    Phi: ComplexField, gamma: Contour, cfg: AntiderivativeConfig, which: str = "casirot"
+    Phi: Field, gamma: Contour, cfg: AntiderivativeConfig, which: str = "casirot"
 ) -> float:
     """Antiderivative value at the end of an explicit polyline path from the base.
 

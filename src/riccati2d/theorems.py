@@ -12,18 +12,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import expressions as ex
-from .errors import (
-    ContourError,
-    DegeneratePairError,
-    NotASolutionError,
-    ZeroSetError,
-)
+from .errors import ContourError, DegeneratePairError, ZeroSetError
 from .field import (
-    ComplexField,
     DomainSpec,
+    Field,
     Point,
-    ScalarField,
     d_z,
+    d_zbar,
     exp_field,
     laplacian,
     max_abs,
@@ -34,6 +29,7 @@ from .quadrature import Contour, line_integral_dz, op_A
 from .riccati import (
     RiccatiProblem,
     _require_bounded,
+    _require_residual,
     _require_riccati_solution,
     _require_schrodinger_solution,
 )
@@ -73,18 +69,18 @@ class IdentityResult:
 # ---------------------------------------------------------------------------
 
 
-def picard_term(Qi: ComplexField, Qj: ComplexField) -> ComplexField:
+def picard_term(Qi: Field, Qj: Field) -> Field:
     """[d_zbar(Qi - Qj) + 2i Im(conj(Qi) Qj)] / (Qi - Qj)."""
     diff = Qi - Qj
     cross = (Qi.conj() * Qj).im
-    return (diff.dzbar() + 2j * cross) / diff
+    return (d_zbar(diff) + 2j * cross) / diff
 
 
 def picard_identity(
-    Q1: ComplexField,
-    Q2: ComplexField,
-    Q3: ComplexField,
-    Q4: ComplexField,
+    Q1: Field,
+    Q2: Field,
+    Q3: Field,
+    Q4: Field,
     prob: RiccatiProblem,
     tolerance: float = 1e-8,
     margin: int = PICARD_MARGIN_CELLS,
@@ -129,8 +125,8 @@ def _require_closed(gamma: Contour) -> None:
 
 
 def cauchy_riccati(
-    Q0: ComplexField,
-    Q1: ComplexField,
+    Q0: Field,
+    Q1: Field,
     gamma: Contour,
     prob: RiccatiProblem,
     tolerance: float = 1e-10,
@@ -162,8 +158,8 @@ def cauchy_riccati(
 
 
 def cauchy_schrodinger(
-    f: ScalarField,
-    u: ScalarField,
+    f: Field,
+    u: Field,
     gamma: Contour,
     prob: RiccatiProblem,
     tolerance: float = 1e-10,
@@ -186,7 +182,7 @@ def cauchy_schrodinger(
 
 
 def cauchy_laplace_reductions(
-    field: ScalarField,
+    field: Field,
     gamma: Contour,
     kind: str = "derivative",
     tolerance: float = 1e-10,
@@ -198,9 +194,7 @@ def cauchy_laplace_reductions(
     "reciprocal" checks the second for a harmonic nonvanishing field.
     """
     _require_closed(gamma)
-    lap = max_abs(laplacian(field))
-    if not lap <= HARMONIC_TOL:
-        raise NotASolutionError("input (must be harmonic)", lap, HARMONIC_TOL)
+    _require_residual(laplacian(field), "input (must be harmonic)", HARMONIC_TOL)
     if kind == "derivative":
         integrand = d_z(field)
 
@@ -262,18 +256,18 @@ class FormalPowerBaseline:
         return out
 
 
-def analytic_power(n: int, domain: DomainSpec, z0: Point = Point(0.0, 0.0)) -> ComplexField:
+def analytic_power(n: int, domain: DomainSpec, z0: Point = Point(0.0, 0.0)) -> Field:
     """The analytic field (z - z0)^n as a complex expression field."""
-    return ComplexField.from_expr(domain, ex.powi(ex.X + 1j * ex.Y - complex(z0.x, z0.y), n))
+    return Field(domain, ex.powi(ex.X + 1j * ex.Y - complex(z0.x, z0.y), n))
 
 
-def analytic_exp(domain: DomainSpec) -> ComplexField:
+def analytic_exp(domain: DomainSpec) -> Field:
     """The entire field exp(z)."""
-    return ComplexField.from_expr(domain, ex.Exp(ex.X + 1j * ex.Y))
+    return Field(domain, ex.Exp(ex.X + 1j * ex.Y))
 
 
 def taylor_coefficients(
-    W: ComplexField, z0: Point, max_degree: int, radius: float, n_nodes: int = TAYLOR_CIRCLE_NODES
+    W: Field, z0: Point, max_degree: int, radius: float, n_nodes: int = TAYLOR_CIRCLE_NODES
 ) -> tuple[complex, ...]:
     """Coefficients via the contour-integral formula on a small circle."""
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
@@ -288,7 +282,7 @@ def taylor_coefficients(
 
 
 def euler_second_baseline(
-    W: ComplexField,
+    W: Field,
     z0: Point,
     N: int,
     region: DomainSpec | None = None,
@@ -302,9 +296,7 @@ def euler_second_baseline(
     check compares d_z(Re S_N)/Re S_N against d_z(Re W)/Re W on a test
     subregion avoiding zeros of the retained partial sums.
     """
-    analytic_defect = max_abs(W.dzbar())
-    if not analytic_defect <= ANALYTIC_TOL:
-        raise NotASolutionError("W (must be analytic)", analytic_defect, ANALYTIC_TOL)
+    _require_residual(d_zbar(W), "W (must be analytic)", ANALYTIC_TOL)
     dom = W.domain
     if radius is None:
         radius = min(z0.x - dom.x_min, dom.x_max - z0.x, z0.y - dom.y_min, dom.y_max - z0.y)
@@ -327,7 +319,7 @@ def euler_second_baseline(
 
     w_re = W.re(xg, yg)
     _require_region_nonzero(w_re, xg, yg, "Re W")
-    wz = W.dz()(xg, yg)
+    wz = d_z(W)(xg, yg)
     q_exact = 0.5 * wz / w_re
 
     scale = max(abs(a) for a in coeffs) or 1.0

@@ -159,7 +159,7 @@ def test_06_four_solution_identity(unit_square):
     from riccati2d.theorems import picard_term
 
     prob = make_problem(unit_square, 1.0)
-    Qs = [ComplexField.constant(q, unit_square) for q in (0.5, -0.5j, complex(0.3, -0.4), -0.5)]
+    Qs = [constant_field(q, unit_square) for q in (0.5, -0.5j, complex(0.3, -0.4), -0.5)]
     terms = {
         (0, 1): complex(-0.5, -0.5),
         (2, 3): complex(0.2, -0.4),
@@ -220,7 +220,7 @@ def test_07_contour_theorems(centered_square):
             break
         doubling_ok = doubling_ok and coarse / max(fine, 1e-16) >= 4.0
 
-    bad = Q1 + ComplexField.constant(0.1, dom)
+    bad = Q1 + constant_field(0.1, dom)
     neg = cauchy_riccati(Q0, bad, gamma, prob, solution_tol=1.0).residual
     verdict(
         7,

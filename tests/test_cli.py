@@ -96,9 +96,9 @@ def test_oracle_spec_validated_at_parse_time(spec):
         ("refine = 13", "refine = 12", 2),  # default 256-node circle: 2**21 > 2**20 nodes
         ("refine = 60", "refine = 12", 2),
         ("contour = circle 0 0 1 1048577", "contour = circle 0 0 1 1048576", 2),
-        (
-            "contour = polyline -1 0 1 0 0 1 -1 0 65537\nrefine = 4",
-            "contour = polyline -1 0 1 0 0 1 -1 0 65536\nrefine = 4",
+        (  # 15 K15 nodes per panel: 4370 * 16 * 15 > 2**20 >= 4369 * 16 * 15 points
+            "contour = polyline -1 0 1 0 0 1 -1 0 4370\nrefine = 4",
+            "contour = polyline -1 0 1 0 0 1 -1 0 4369\nrefine = 4",
             3,
         ),
         (
@@ -333,13 +333,21 @@ def test_exit_three_on_unwritable_out(tmp_path):
 
 
 def test_dump_fields_writes_readable_csv(tmp_path):
-    cfg = write(tmp_path, "ok.cfg", "case = riccati-residual\n")
+    """Every field case = all dumps reads back as a grid; the residual ones are tiny."""
+    cfg = write(tmp_path, "ok.cfg", "case = all\n")
     dump = tmp_path / "fields"
     assert main(["--config", cfg, "--out", str(tmp_path / "r.json"), "--dump-fields", str(dump)]) == 0
-    files = sorted(p.name for p in dump.iterdir())
-    assert files
-    g = read_grid_csv(dump / files[0])
-    assert np.max(np.abs(g.values)) < 1e-10  # dumped residual field is tiny
+    grids = {p.name: read_grid_csv(p) for p in dump.iterdir()}
+    assert sorted(grids) == [
+        "darboux_darboux_conjugate.csv",
+        "euler1_euler1_W_im.csv",
+        "euler1_euler1_W_re.csv",
+        "riccati-residual_riccati_residual_im.csv",
+        "riccati-residual_riccati_residual_re.csv",
+    ]
+    for name in ("riccati_residual_re", "riccati_residual_im"):
+        values = grids[f"riccati-residual_{name}.csv"].values
+        assert np.max(np.abs(values)) < 1e-10  # dumped residual field is tiny
 
 
 def test_refine_flag_overrides_config(tmp_path):

@@ -1,4 +1,4 @@
-"""Scalar/complex fields: algebra, grid leaves and their FD order, Wirtinger calculus, CSV I/O."""
+"""Fields, real and complex: algebra, grid leaves and their FD order, Wirtinger calculus, CSV I/O."""
 import math
 
 import numpy as np
@@ -13,6 +13,7 @@ from riccati2d import (
     ExprField,
     GridField,
     NonvanishingError,
+    ParameterError,
     Point,
     ResolutionError,
     check_nonvanishing,
@@ -62,14 +63,14 @@ def test_wirtinger_of_analytic_field(centered_square):
         ExprField(centered_square, ex.Exp(ex.X) * ex.Cos(ex.Y)),
         ExprField(centered_square, ex.Exp(ex.X) * ex.Sin(ex.Y)),
     )
-    assert max_abs(W.dzbar()) < 1e-13
-    assert max_abs(W.dz() - W) < 1e-13
+    assert max_abs(d_zbar(W)) < 1e-13
+    assert max_abs(d_z(W) - W) < 1e-13
 
 
 def test_laplacian_equals_four_dzbar_dz(unit_square):
     u = ExprField(unit_square, "sin(x)*cosh(y) + x**3")
     dz = d_z(u)
-    four = 4.0 * dz.dzbar().re
+    four = 4.0 * d_zbar(dz).re
     assert max_abs(laplacian(u) - four) < 1e-12
 
 
@@ -115,11 +116,12 @@ def test_complex_algebra_matches_numpy(c0, c1, c2, c3):
         (P / R, pv / rv),
         (P.conj(), np.conj(pv)),
         (P.abs2(), np.abs(pv) ** 2),
-        (P.dz(), 0.5 * (pv_x - 1j * pv_y)),
-        (P.dzbar(), 0.5 * (pv_x + 1j * pv_y)),
+        (d_z(P), 0.5 * (pv_x - 1j * pv_y)),
+        (d_zbar(P), 0.5 * (pv_x + 1j * pv_y)),
     ]
     for field, want in pairs:
         np.testing.assert_allclose(field.sample(), want, rtol=1e-12)
+        assert field.sample().dtype == (np.float64 if field.expr.is_real else np.complex128)
 
 
 def grid_of(expr_text, n):
@@ -241,11 +243,11 @@ def test_exp_field_chain_rule(unit_square):
 
 def test_complex_field_algebra(unit_square):
     z = ComplexField(ExprField(unit_square, "x"), ExprField(unit_square, "y"))
-    w = ComplexField.constant(complex(0.3, -0.4), unit_square)
+    w = constant_field(complex(0.3, -0.4), unit_square)
     xg, yg = unit_square.mesh()
     zv = xg + 1j * yg
     np.testing.assert_allclose((z * w)(xg, yg), zv * complex(0.3, -0.4), rtol=1e-13)
-    shifted = z + ComplexField.constant(2.0, unit_square)
+    shifted = z + constant_field(2.0, unit_square)
     np.testing.assert_allclose((z / shifted)(xg, yg), zv / (zv + 2), rtol=1e-12)
     np.testing.assert_allclose(z.conj()(xg, yg), np.conj(zv), rtol=1e-13)
     np.testing.assert_allclose(z.abs2()(xg, yg), np.abs(zv) ** 2, rtol=1e-13)
@@ -260,11 +262,41 @@ def test_real_field_on_the_left_of_mixed_arithmetic(unit_square):
     fv, qv = xg + 2, yg + 1 + 1j * xg
     for got, want in [(f * Q, fv * qv), (f + Q, fv + qv), (f - Q, fv - qv), (f / Q, fv / qv),
                       (f * 1j, fv * 1j)]:
-        assert isinstance(got, ComplexField)
+        assert not got.expr.is_real and got(xg, yg).dtype == np.complex128
         np.testing.assert_allclose(got(xg, yg), want, rtol=1e-13)
     for field in (f, Q):
         with pytest.raises(TypeError):
             field * "a"
+
+
+def test_samples_are_real_or_complex_as_the_tree_is(unit_square):
+    """One field class: float64 samples and a float value for a real tree,
+    complex128 and a complex value for a complex one."""
+    f = ExprField(unit_square, "x*y + 1")
+    Q = f + 1j * f
+    at = Point(0.5, 0.5)
+    assert f.sample().dtype == np.float64 and type(f.evaluate(at)) is float
+    assert Q.sample().dtype == np.complex128 and type(Q.evaluate(at)) is complex
+    assert Q.re.sample().dtype == np.float64 and Q.conj().sample().dtype == np.complex128
+    assert Q.abs2().sample().dtype == np.float64
+    assert constant_field(2.0, unit_square).sample().dtype == np.float64
+    assert constant_field(0.5j, unit_square).sample().dtype == np.complex128
+
+
+def test_complex_field_with_zero_imaginary_part_folds_to_a_real_field(unit_square):
+    a = ExprField(unit_square, "exp(x) * cos(y)")
+    w = ComplexField(a, 0 * a)
+    assert w.expr.is_real and w.re.expr is a.expr
+    assert w.sample().dtype == np.float64
+    np.testing.assert_array_equal(w.sample(), a.sample())
+
+
+def test_complex_field_has_no_grid(unit_square):
+    """A grid holds real samples; a complex field's would lose the imaginary part."""
+    Q = ComplexField(ExprField(unit_square, "x"), ExprField(unit_square, "y"))
+    with pytest.raises(ParameterError):
+        Q.to_grid()
+    np.testing.assert_array_equal(Q.im.to_grid().values, ExprField(unit_square, "y").sample())
 
 
 def test_fields_on_different_rectangles_do_not_combine():

@@ -18,6 +18,7 @@ from riccati2d import (
     Point,
     QuadratureError,
     compatibility_check,
+    constant_field,
     d_z,
     line_integral_dz,
     max_abs,
@@ -171,7 +172,7 @@ def test_compatibility_check_pass_and_fail(unit_square):
 def test_abar_constant_imaginary_gives_y(unit_square):
     """Abar of the constant i/2 is the coordinate y."""
     cfg = AntiderivativeConfig(unit_square.base)
-    phi = op_Abar(ComplexField.constant(0.5j, unit_square), cfg)
+    phi = op_Abar(constant_field(0.5j, unit_square), cfg)
     xg, yg = unit_square.mesh()
     np.testing.assert_allclose(phi(xg, yg), yg, atol=1e-12)
 
@@ -192,7 +193,7 @@ def test_abar_exponential_example(unit_square):
 def test_a_constant_example(unit_square):
     """A(0.3 - 0.4i) = 0.6x + 0.8y (the d_z antiderivative of a constant)."""
     cfg = AntiderivativeConfig(unit_square.base)
-    phi = op_A(ComplexField.constant(complex(0.3, -0.4), unit_square), cfg)
+    phi = op_A(constant_field(complex(0.3, -0.4), unit_square), cfg)
     xg, yg = unit_square.mesh()
     np.testing.assert_allclose(phi(xg, yg), 0.6 * xg + 0.8 * yg, atol=1e-12)
 
@@ -211,7 +212,7 @@ def test_abar_partials_are_exact(unit_square):
 
 def test_constant_c_offsets_result(unit_square):
     cfg = AntiderivativeConfig(unit_square.base, constant_c=3.5)
-    phi = op_Abar(ComplexField.constant(0.5j, unit_square), cfg)
+    phi = op_Abar(constant_field(0.5j, unit_square), cfg)
     assert phi.evaluate(Point(0.0, 0.0)) == pytest.approx(3.5, abs=1e-12)
 
 
@@ -237,7 +238,7 @@ def test_path_independence(unit_square):
 
 def test_antiderivative_along_rejects_wrong_start(unit_square):
     cfg = AntiderivativeConfig(unit_square.base)
-    Phi = ComplexField.constant(0.5j, unit_square)
+    Phi = constant_field(0.5j, unit_square)
     with pytest.raises(ContourError):
         antiderivative_along(Phi, Contour.polyline([(0.5, 0.5), (1, 1)]), cfg)
 

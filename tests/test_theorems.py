@@ -51,7 +51,7 @@ CONSTANT_TERMS = {
 def constant_setup(unit_square):
     nu = 4.0 * abs(CONSTANT_QS[0]) ** 2  # = 1; all four have |Q|^2 = 1/4
     prob = make_problem(unit_square, nu)
-    Qs = [ComplexField.constant(q, unit_square) for q in CONSTANT_QS]
+    Qs = [constant_field(q, unit_square) for q in CONSTANT_QS]
     return prob, Qs
 
 
@@ -87,14 +87,14 @@ def test_nonconstant_identity(unit_square):
 
 def test_degenerate_pair_rejected(unit_square):
     prob = make_problem(unit_square, 1.0)
-    Qs = [ComplexField.constant(q, unit_square) for q in (0.5, 0.5, -0.5j, -0.5)]
+    Qs = [constant_field(q, unit_square) for q in (0.5, 0.5, -0.5j, -0.5)]
     with pytest.raises(DegeneratePairError):
         picard_identity(*Qs, prob)
 
 
 def test_non_solution_rejected(unit_square):
     prob, Qs = constant_setup(unit_square)
-    Qs[0] = ComplexField.constant(0.5 + 0.1, unit_square)
+    Qs[0] = constant_field(0.5 + 0.1, unit_square)
     with pytest.raises(NotASolutionError):
         picard_identity(*Qs, prob)
 
@@ -151,7 +151,7 @@ def test_cauchy_riccati_node_doubling():
 
 def test_cauchy_riccati_negative_control():
     dom, prob, gamma, Q0, Q1 = circle_setup()
-    bad = Q1 + ComplexField.constant(0.1, dom)
+    bad = Q1 + constant_field(0.1, dom)
     result = cauchy_riccati(Q0, bad, gamma, prob, solution_tol=1.0)
     assert result.residual > 1e-3
     assert not result.passed
