@@ -16,12 +16,12 @@ factor or real denominator, and go through ``Conj``; so the parts of
 module; a whitelist maps the allowed nodes onto the trees.
 
 Differentiation reuses its operands, so derivatives are DAGs: ``diff`` is
-memoised per node and variable, and ``evaluate`` computes each distinct
-node of a tree once.  A tree that reaches some node twice (constants and
-the coordinates aside) runs a flat plan, built once and kept on its root,
-that applies each node's operation in ``ev``'s order and drops each value
-after its last use; a tree without repeats evaluates by ``ev``.  Both give
-the same values bit for bit and raise the same ``SingularityError`` first.
+memoised per node and variable.  ``evaluate`` is the one way to evaluate a
+tree: it runs the tree's flat plan, built once and kept on its root, which
+applies each distinct node's operation once, operands first and left to
+right, and drops each value after its last use.  A quotient checks its
+denominator before its numerator is evaluated, so the first
+``SingularityError`` is that of the first denominator reached.
 """
 from __future__ import annotations
 
@@ -61,17 +61,15 @@ def _check_denominator(node, den) -> None:
 
 
 class Expr:
-    """Base node.  Subclasses implement ``ev``, ``diff`` and ``_emit``; the
-    plan, ``is_real`` and memoised derivatives are cached on the node."""
-
-    def ev(self, x, y):
-        raise NotImplementedError
+    """Base node.  Subclasses implement ``diff`` and ``_emit``, which states the
+    node's operation; the plan, ``is_real`` and memoised derivatives are
+    cached on the node."""
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
     def _emit(self, plan: _Planner) -> int:
-        """Add this node's steps to ``plan``, operands in ``ev``'s order; return its slot."""
+        """Add this node's steps to ``plan``, operands first; return its slot."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -82,13 +80,9 @@ class Expr:
         return all(v.is_real if isinstance(v, Expr) else not isinstance(v, complex) for v in values)
 
     @functools.cached_property
-    def _plan(self) -> tuple | None:
-        """Steps ``(fn, operand slots, slots freed after it)`` of a tree that reaches
-        some node twice, else None; a constant or a coordinate costs nothing to
-        evaluate again, so those do not count."""
+    def _plan(self) -> tuple:
+        """Steps ``(fn, operand slots, slots freed after it)`` of the tree."""
         planner = _Planner(self)
-        if not planner.shared:
-            return None
         last = {i: k for k, (_, args) in enumerate(planner.steps) for i in args}
         dead = [[] for _ in planner.steps]
         for i, k in last.items():
@@ -135,9 +129,6 @@ class Const(Expr):
         if isinstance(self.value, complex) and not self.value.imag:
             object.__setattr__(self, "value", self.value.real)
 
-    def ev(self, x, y):
-        return self.value
-
     def diff(self, var):
         return ZERO
 
@@ -153,9 +144,6 @@ class Const(Expr):
 class Var(Expr):
     name: str  # "x" or "y"
 
-    def ev(self, x, y):
-        return x if self.name == "x" else y
-
     def diff(self, var):
         return ONE if var == self.name else ZERO
 
@@ -170,9 +158,6 @@ class Var(Expr):
 class Add(Expr):
     a: Expr
     b: Expr
-
-    def ev(self, x, y):
-        return self.a.ev(x, y) + self.b.ev(x, y)
 
     @_memoised
     def diff(self, var):
@@ -190,9 +175,6 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def ev(self, x, y):
-        return self.a.ev(x, y) * self.b.ev(x, y)
-
     @_memoised
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
@@ -209,18 +191,13 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def ev(self, x, y):
-        den = self.b.ev(x, y)
-        _check_denominator(self.b, den)
-        return self.a.ev(x, y) / den
-
     @_memoised
     def diff(self, var):
         da, db = self.a.diff(var), self.b.diff(var)
         num = add(mul(da, self.b), neg(mul(self.a, db)))
         return div(num, mul(self.b, self.b))
 
-    def _emit(self, plan):  # the check precedes the numerator, as in ev
+    def _emit(self, plan):  # the check precedes the numerator
         den = plan.slot(self.b)
         plan.step(functools.partial(_check_denominator, self.b), den)
         return plan.step(operator.truediv, plan.slot(self.a), den)
@@ -233,9 +210,6 @@ class Div(Expr):
 class Pow(Expr):
     base: Expr
     exponent: int
-
-    def ev(self, x, y):
-        return self.base.ev(x, y) ** self.exponent
 
     @_memoised
     def diff(self, var):
@@ -264,9 +238,6 @@ class Given(Expr):
     dy: Callable[[], Expr]
     label: str
 
-    def ev(self, x, y):
-        return self.fn(x, y)
-
     @_memoised
     def diff(self, var):
         return self.dx() if var == "x" else self.dy()
@@ -284,9 +255,6 @@ def _unary(np_fn, symbol, rule):
     @dataclass(frozen=True)
     class _Node(Expr):
         arg: Expr
-
-        def ev(self, x, y):
-            return np_fn(self.arg.ev(x, y))
 
         @_memoised
         def diff(self, var):
@@ -322,12 +290,9 @@ ONE = Const(1.0)
 
 
 def evaluate(expr: Expr, x, y):
-    """``expr.ev(x, y)``, bit for bit, computing each distinct node once."""
-    plan = expr._plan
-    if plan is None:
-        return expr.ev(x, y)
+    """The value of ``expr`` at ``x``, ``y``, computing each distinct node once."""
     vals = [x, y]
-    for fn, args, dead in plan:
+    for fn, args, dead in expr._plan:
         vals.append(fn(*[vals[i] for i in args]))
         for i in dead:
             vals[i] = None
@@ -335,21 +300,20 @@ def evaluate(expr: Expr, x, y):
 
 
 class _Planner:
-    """A tree's distinct nodes (by identity) as steps ``(fn, operand slots)`` in
-    ``ev``'s order.  Slots 0 and 1 hold x and y, slot k + 2 the value of step k."""
+    """A tree's distinct nodes (by identity) as steps ``(fn, operand slots)``,
+    operands first.  Slots 0 and 1 hold x and y, slot k + 2 the value of step k."""
 
     def __init__(self, root: Expr):
         self.slots: dict[int, int] = {}
         self.steps: list[tuple] = []
-        self.shared = False
-        self.slot(root)
+        top = self.slot(root)
+        if top < 2:  # the root is a coordinate: one step reads it, so it is the last value
+            self.step(lambda v: v, top)
 
     def slot(self, node: Expr) -> int:
         hit = self.slots.get(id(node))
         if hit is None:
             hit = self.slots[id(node)] = node._emit(self)
-        elif not isinstance(node, (Const, Var)):
-            self.shared = True
         return hit
 
     def step(self, fn, *args: int) -> int:

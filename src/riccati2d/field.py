@@ -351,9 +351,9 @@ def min_abs_location(f: Field, nx=None, ny=None) -> tuple[float, Point]:
     return float(vals[j, i]), Point(float(xs[0, i]), float(ys[j, 0]))
 
 
-def check_nonvanishing(f: Field, name: str, threshold: float = NONVANISHING_EPS) -> None:
+def check_nonvanishing(f: Field, name: str) -> None:
     m, at = min_abs_location(f)
-    if not m > threshold:
+    if not m > NONVANISHING_EPS:
         raise NonvanishingError(name, m, (at.x, at.y))
 
 

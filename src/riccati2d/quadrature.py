@@ -141,15 +141,13 @@ def _require_finite(*estimates, panels: int) -> None:
         raise QuadratureError(f"segment quadrature gave a non-finite value at {panels} panels")
 
 
-def adaptive_segment_integral(
-    fn, a, b, rel_tol: float = SEGMENT_REL_TOL, max_panels: int = MAX_PANELS
-):
+def adaptive_segment_integral(fn, a, b):
     """Integrate with G7/K15 panels, doubling them until every point settles.
 
-    A point settles when |K15 - G7| <= rel_tol * (|K15| + 1) on one panel, or
-    later when K15 on p panels and on p/2 panels agree to the same bound, and
-    keeps the K15 value of that level.  A non-finite estimate of a point not
-    yet settled, or a point still unsettled at ``max_panels`` panels, raises
+    A point settles when |K15 - G7| <= SEGMENT_REL_TOL * (|K15| + 1) on one
+    panel, or later when K15 on p panels and on p/2 panels agree to the same
+    bound, and keeps the K15 value of that level.  A non-finite estimate of a
+    point not yet settled, or a point still unsettled at MAX_PANELS panels, raises
     QuadratureError; no unconverged value is ever returned.
     """
     k, g = _gauss_kronrod(fn, a, b, 1)
@@ -157,21 +155,21 @@ def adaptive_segment_integral(
     shape = np.shape(k)
     value = np.ravel(k)
     change = np.ravel(np.abs(k - g))
-    open_ = np.flatnonzero(change > rel_tol * (np.abs(value) + 1.0))
+    open_ = np.flatnonzero(change > SEGMENT_REL_TOL * (np.abs(value) + 1.0))
     change = change[open_]
     panels = 1
     while open_.size:
-        if panels >= max_panels:
+        if panels >= MAX_PANELS:
             raise QuadratureError(
                 f"segment quadrature did not converge within {panels} panels: largest "
-                f"change {float(np.max(change)):.3e} at relative tolerance {rel_tol:g}"
+                f"change {float(np.max(change)):.3e} at relative tolerance {SEGMENT_REL_TOL:g}"
             )
         panels *= 2
         k = np.ravel(_gauss_kronrod(fn, a, b, panels)[0])[open_]
         _require_finite(k, panels=panels)
         change = np.abs(k - value[open_])
         value[open_] = k
-        unsettled = change > rel_tol * (np.abs(k) + 1.0)
+        unsettled = change > SEGMENT_REL_TOL * (np.abs(k) + 1.0)
         open_, change = open_[unsettled], change[unsettled]
     return value.reshape(shape)
 

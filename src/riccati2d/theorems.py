@@ -83,7 +83,6 @@ def picard_identity(
     Q4: Field,
     prob: RiccatiProblem,
     tolerance: float = 1e-8,
-    margin: int = PICARD_MARGIN_CELLS,
     solution_tol: float | None = None,
 ) -> IdentityResult:
     """Four-term alternating sum that vanishes for any four Riccati solutions.
@@ -105,7 +104,7 @@ def picard_identity(
         - picard_term(Q1, Q4)
         - picard_term(Q3, Q2)
     )
-    residual = max_abs(total, margin=margin)
+    residual = max_abs(total, margin=PICARD_MARGIN_CELLS)
     return IdentityResult(
         name="picard",
         residual=residual,
@@ -230,15 +229,10 @@ def _with_refinement(name, residual_at, gamma: Contour, tolerance, refine) -> Id
 
 @dataclass(frozen=True)
 class FormalPowerBaseline:
-    """Truncated power expansion around z0, valid on |z - z0| < radius."""
+    """Truncated power expansion around z0."""
 
     center: Point
-    radius: float
     coefficients: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("expansion radius must be positive")
 
     def value(self, z: np.ndarray, degree: int) -> np.ndarray:
         z0 = complex(self.center.x, self.center.y)
@@ -266,11 +260,9 @@ def analytic_exp(domain: DomainSpec) -> Field:
     return Field(domain, ex.Exp(ex.X + 1j * ex.Y))
 
 
-def taylor_coefficients(
-    W: Field, z0: Point, max_degree: int, radius: float, n_nodes: int = TAYLOR_CIRCLE_NODES
-) -> tuple[complex, ...]:
-    """Coefficients via the contour-integral formula on a small circle."""
-    t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+def taylor_coefficients(W: Field, z0: Point, max_degree: int, radius: float) -> tuple[complex, ...]:
+    """Coefficients via the contour-integral formula on a circle of TAYLOR_CIRCLE_NODES nodes."""
+    t = 2.0 * np.pi * np.arange(TAYLOR_CIRCLE_NODES) / TAYLOR_CIRCLE_NODES
     zx = z0.x + radius * np.cos(t)
     zy = z0.y + radius * np.sin(t)
     w = W(zx, zy)
@@ -287,7 +279,6 @@ def euler_second_baseline(
     N: int,
     region: DomainSpec | None = None,
     tolerance: float = 1e-8,
-    radius: float | None = None,
 ) -> IdentityResult:
     """Partial-sum log-derivative convergence for an analytic field.
 
@@ -298,18 +289,17 @@ def euler_second_baseline(
     """
     _require_residual(d_zbar(W), "W (must be analytic)", ANALYTIC_TOL)
     dom = W.domain
-    if radius is None:
-        radius = min(z0.x - dom.x_min, dom.x_max - z0.x, z0.y - dom.y_min, dom.y_max - z0.y)
-        if radius <= 0:
-            # expansion point outside the rectangle: scale by the far corner
-            radius = max(
-                math.hypot(z0.x - cx, z0.y - cy)
-                for cx in (dom.x_min, dom.x_max)
-                for cy in (dom.y_min, dom.y_max)
-            )
+    radius = min(z0.x - dom.x_min, dom.x_max - z0.x, z0.y - dom.y_min, dom.y_max - z0.y)
+    if radius <= 0:
+        # expansion point outside the rectangle: scale by the far corner
+        radius = max(
+            math.hypot(z0.x - cx, z0.y - cy)
+            for cx in (dom.x_min, dom.x_max)
+            for cy in (dom.y_min, dom.y_max)
+        )
     circle_r = TAYLOR_CIRCLE_FRACTION * radius
     coeffs = taylor_coefficients(W, z0, N, circle_r)
-    expansion = FormalPowerBaseline(z0, radius, coeffs)
+    expansion = FormalPowerBaseline(z0, coeffs)
 
     if region is None:
         half = 0.4 * radius

@@ -1,9 +1,13 @@
 """CLI front end: config parsing, case dispatch, report shape, exit codes."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import riccati2d
 from riccati2d import ConfigError, DomainSpec, ExprField, read_grid_csv, write_grid_csv
 from riccati2d.cli import CASES, main, mask_timings, parse_config, run
 
@@ -433,3 +437,19 @@ def test_every_named_case_runs_clean(tmp_path):
             continue
         cfg = write(tmp_path, f"{case}.cfg", f"case = {case}\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "r.json")]) == 0, case
+
+
+def test_no_runtime_dependency_beyond_numpy():
+    """Importing the package and its CLI loads the standard library and numpy only."""
+    code = (
+        "import sys; before = set(sys.modules); import riccati2d, riccati2d.cli; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    src = os.path.dirname(os.path.dirname(riccati2d.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "riccati2d" in out and "numpy" in out
+    assert [m for m in out if m not in sys.stdlib_module_names | {"numpy", "riccati2d"}] == []

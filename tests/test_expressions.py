@@ -1,6 +1,7 @@
 """Expression tree: parsing, evaluation, exact differentiation, folding."""
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from riccati2d.expressions import parse_expression
 
 def fd(expr, var, x, y, h=1e-6):
     if var == "x":
-        return (expr.ev(x + h, y) - expr.ev(x - h, y)) / (2 * h)
-    return (expr.ev(x, y + h) - expr.ev(x, y - h)) / (2 * h)
+        return (ex.evaluate(expr, x + h, y) - ex.evaluate(expr, x - h, y)) / (2 * h)
+    return (ex.evaluate(expr, x, y + h) - ex.evaluate(expr, x, y - h)) / (2 * h)
 
 
 CASES = [
+    "x",
+    "y",
     "x + y",
     "x*y - 2",
     "exp(0.6*x + 0.8*y)",
@@ -41,7 +44,7 @@ def test_parse_eval_matches_python(text):
     expr = parse_expression(text)
     env = {"x": 0.3, "y": -0.7, "exp": math.exp, "sin": math.sin, "cos": math.cos,
            "sinh": math.sinh, "cosh": math.cosh, "pi": math.pi, "e": math.e}
-    assert expr.ev(0.3, -0.7) == pytest.approx(eval(text, env), abs=1e-14)
+    assert ex.evaluate(expr, 0.3, -0.7) == pytest.approx(eval(text, env), abs=1e-14)
 
 
 @pytest.mark.parametrize("text", CASES)
@@ -50,14 +53,14 @@ def test_diff_matches_finite_difference(text, var):
     expr = parse_expression(text)
     d = expr.diff(var)
     for x, y in [(0.2, 0.1), (-0.5, 0.9), (1.1, -1.3)]:
-        assert d.ev(x, y) == pytest.approx(fd(expr, var, x, y), rel=1e-6, abs=1e-6)
+        assert ex.evaluate(d, x, y) == pytest.approx(fd(expr, var, x, y), rel=1e-6, abs=1e-6)
 
 
 def test_vectorized_evaluation():
     expr = parse_expression("exp(x) * sin(y)")
     xs = np.linspace(0, 1, 7)
     ys = np.linspace(-1, 0, 7)
-    np.testing.assert_allclose(expr.ev(xs, ys), np.exp(xs) * np.sin(ys), rtol=1e-14)
+    np.testing.assert_allclose(ex.evaluate(expr, xs, ys), np.exp(xs) * np.sin(ys), rtol=1e-14)
 
 
 def test_constant_folding():
@@ -95,7 +98,7 @@ def test_parse_errors(text):
 def test_nesting_depth_bounded():
     """MAX_DEPTH levels parse; one more is an ExpressionError, not a RecursionError later."""
     n = ex.MAX_DEPTH
-    assert parse_expression("1" + "+x" * (n - 1)).ev(2.0, 0.0) == 1 + 2 * (n - 1)
+    assert ex.evaluate(parse_expression("1" + "+x" * (n - 1)), 2.0, 0.0) == 1 + 2 * (n - 1)
     with pytest.raises(ExpressionError, match="nested deeper"):
         parse_expression("1" + "+x" * n)
     with pytest.raises(ExpressionError, match="nested deeper"):
@@ -105,8 +108,8 @@ def test_nesting_depth_bounded():
 def test_division_singularity_guard():
     expr = parse_expression("1 / x")
     with pytest.raises(SingularityError):
-        expr.ev(0.0, 0.0)
-    assert expr.ev(2.0, 0.0) == 0.5
+        ex.evaluate(expr, 0.0, 0.0)
+    assert ex.evaluate(expr, 2.0, 0.0) == 0.5
 
 
 def test_analytic_power_against_complex_arithmetic():
@@ -129,8 +132,11 @@ def test_product_rule_property(x, y, a, b):
     f = ex.Exp(ex.Const(a) * ex.X) * ex.Cos(ex.Const(b) * ex.Y)
     g = ex.Sinh(ex.Const(b) * ex.X) + ex.Const(2.0)
     prod = f * g
-    lhs = prod.diff("x").ev(x, y)
-    rhs = f.diff("x").ev(x, y) * g.ev(x, y) + f.ev(x, y) * g.diff("x").ev(x, y)
+    lhs = ex.evaluate(prod.diff("x"), x, y)
+    rhs = (
+        ex.evaluate(f.diff("x"), x, y) * ex.evaluate(g, x, y)
+        + ex.evaluate(f, x, y) * ex.evaluate(g.diff("x"), x, y)
+    )
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -161,10 +167,9 @@ _SIN_X = ex.Sin(ex.X)
     ids=["shared-denominator", "denominator-before-numerator"],
 )
 def test_shared_subtree_keeps_the_first_singularity(unit_square, expr, first):
-    """The denominator checked first by ev is the one that fails first."""
-    assert expr._plan is not None
+    """The first denominator reached, operands first, is the one that fails first."""
     with pytest.raises(SingularityError, match=f"denominator {first} "):
-        expr.ev(0.0, 0.0)
+        ex.evaluate(expr, 0.0, 0.0)
     with pytest.raises(SingularityError, match=f"denominator {first} "):
         ExprField(unit_square, expr).evaluate(Point(0.0, 0.0))
 
@@ -185,6 +190,29 @@ _PLAN_POINTS = [
     (np.linspace(-1.3, 1.1, 7)[None, :], np.linspace(-0.9, 1.2, 5)[:, None]),  # tensor grid
     (np.array([0.31, -0.72, 1.05, 0.0, -1.2]), np.array([0.44, 0.93, -0.61, 0.17, -0.3])),
 ]
+_STEPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 5), st.integers(0, 5)),
+    min_size=2, max_size=10,
+)
+# the node names of the trees' text, bound to numpy
+_NUMPY_NAMES = {
+    "exp": np.exp, "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
+    "conj": np.conj, "re": np.real, "im": np.imag,
+}
+
+
+def _tree(steps, leaves=_LEAVES):
+    """A tree that reuses its nodes: each step applies an operation to earlier nodes."""
+    pool = list(leaves)
+    for binary, k, i, j in steps:  # operands counted back from the newest node
+        a, b = pool[-1 - i % len(pool)], pool[-1 - j % len(pool)]
+        pool.append(_BINARY_OPS[k % 4](a, b) if binary else _UNARY_OPS[k](a))
+    return ex.mul(pool[-1], ex.add(pool[-1], pool[-2]))
+
+
+def _reference(text, x, y):
+    """Python's own evaluation of a tree's text, numpy bound to the node names."""
+    return eval(text, {"__builtins__": {}, "x": x, "y": y, **_NUMPY_NAMES})
 
 
 def _outcome(fn, x, y):
@@ -195,26 +223,52 @@ def _outcome(fn, x, y):
         return None, str(exc)
 
 
-@given(
-    steps=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 5), st.integers(0, 5)),
-        min_size=2, max_size=10,
-    )
-)
+@given(steps=_STEPS)
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_plan_matches_ev(steps):
+def test_evaluate_matches_reference(steps):
     """On trees whose nodes are reused, and on their derivatives, evaluating each
-    distinct node once gives ev's arrays bit for bit, or ev's error."""
-    pool = list(_LEAVES)
-    for binary, k, i, j in steps:  # operands counted back from the newest node
-        a, b = pool[-1 - i % len(pool)], pool[-1 - j % len(pool)]
-        pool.append(_BINARY_OPS[k % 4](a, b) if binary else _UNARY_OPS[k](a))
-    root = ex.mul(pool[-1], ex.add(pool[-1], pool[-2]))
+    distinct node once gives the arrays of Python's own evaluation of the tree's
+    text bit for bit; where it raises, the denominator it names is below the guard."""
+    root = _tree(steps)
     for expr in (root, root.diff("x"), root.diff("x").diff("y"), root.diff("y").diff("y")):
         for x, y in _PLAN_POINTS:
-            want, want_error = _outcome(expr.ev, x, y)
-            got, got_error = _outcome(functools.partial(ex.evaluate, expr), x, y)
-            assert got_error == want_error
-            if want_error is None:
+            got, error = _outcome(functools.partial(ex.evaluate, expr), x, y)
+            if error is None:
+                want, _ = _outcome(functools.partial(_reference, str(expr)), x, y)
                 assert np.asarray(got).dtype == np.asarray(want).dtype
                 assert np.array_equal(got, want, equal_nan=True)
+            else:
+                den = re.fullmatch(r"denominator (.*) has \|value\| < \S+", error).group(1)
+                with np.errstate(all="ignore"):
+                    assert np.min(np.abs(_reference(den, x, y))) < ex.SINGULARITY_EPS
+
+
+_GRID = ExprField(DomainSpec(-1.3, 1.1, -0.9, 1.2, 9, 7), "sin(2*x) * exp(y)").to_grid()
+_BATCH = (
+    np.random.default_rng(7).uniform(-1.3, 1.1, 17),
+    np.random.default_rng(8).uniform(-0.9, 1.2, 17),
+)
+
+
+@given(steps=_STEPS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_evaluate_is_batch_invariant(steps):
+    """No value depends on how many points are evaluated together: a batch gives
+    each point's value alone and each prefix's values, bit for bit, also through
+    a grid leaf and its partials; a batch that raises has a point that raises so."""
+    g = _GRID.expr
+    root = _tree(steps, _LEAVES + [g, g.diff("x"), g.diff("y")])
+    x, y = _BATCH
+    for expr in (root, root.diff("x"), root.diff("x").diff("y")):
+        run = functools.partial(ex.evaluate, expr)
+        batch, error = _outcome(run, x, y)
+        alone = [_outcome(run, x[k : k + 1], y[k : k + 1]) for k in range(len(x))]
+        if error is not None:
+            assert error in [e for _, e in alone]
+            continue
+        batch = np.broadcast_to(batch, x.shape)
+        for k, (value, _) in enumerate(alone):
+            assert np.asarray(value).dtype == batch.dtype
+            assert np.array_equal(np.broadcast_to(value, (1,)), batch[k : k + 1], equal_nan=True)
+            prefix, _ = _outcome(run, x[: k + 1], y[: k + 1])
+            assert np.array_equal(np.broadcast_to(prefix, (k + 1,)), batch[: k + 1], equal_nan=True)
