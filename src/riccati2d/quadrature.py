@@ -4,10 +4,19 @@ The antiderivative operators integrate along the canonical L-path (vertical
 segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
 built around.  Mesh samples, whose abscissae and ordinates vary along
-different axes (as ``Field.sample`` passes them), integrate each cell
-between neighbouring abscissae and each cell of the base column once and
-add the cells up with cumulative sums from the base; any other points
-(contour nodes, dense arrays, single points) get one adaptive L-path each.
+different axes (as ``Field.sample`` passes them), put one K15 panel on each
+cell between neighbouring abscissae (the base inserted) and evaluate the
+integrand once at the nodes of all panels, for all rows together; the cells
+of the base column likewise.  Cumulative sums of the cell integrals from the
+base give every point.  An antiderivative inside the integrand is asked at
+those very node arrays and integrates on the same panels: the integral from a
+cell's start to each of its nodes is a fixed 15x15 spectral integration
+matrix applied to the cell's node values, so each nesting level adds one node
+array, not 15 nodes around every node.  A cell that does not settle on its
+one panel is integrated adaptively, and so are the integrals to its nodes.
+Any other points (contour nodes, dense arrays, single points) get one
+adaptive L-path each.
+
 Segment quadrature is the embedded Gauss-Kronrod pair G7/K15 (QUADPACK's
 ``qk15``), whose 15 nodes include the 7 Gauss nodes, so each node is
 evaluated once per level.  On one panel a point settles when K15 and G7
@@ -20,6 +29,7 @@ raises QuadratureError.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,6 +74,26 @@ _G7_WEIGHTS = np.array([
     0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
+
+# the nodes of one K15 panel of [a, b] sit at a + _K15_T * (b - a)
+_K15_T = (_K15_NODES + 1.0) / 2.0
+
+
+def _k15_partials() -> np.ndarray:
+    """S with S[j, k] = (1/2) int_{-1}^{t_j} l_k(t) dt, l_k the Lagrange basis on
+    the K15 nodes t: on a panel [a, b], (b - a) * S @ f integrates the degree-14
+    interpolant of the node values f from a to each node.  Row j is K15 on
+    [-1, t_j], which is exact for the degree-14 integrand."""
+    t = _K15_NODES
+    half = (t + 1.0) / 2.0
+    tau = -1.0 + half[:, None] * (t + 1.0)  # (j, m): the K15 nodes on [-1, t_j]
+    off = ~np.eye(15, dtype=bool)  # (k, i): i != k
+    basis = np.where(off, tau[:, :, None, None] - t, 1.0).prod(axis=-1)  # (j, m, k)
+    basis = basis / np.where(off, t[:, None] - t, 1.0).prod(axis=-1)
+    return np.einsum("m,jmk->jk", _K15_WEIGHTS, basis) * (half[:, None] / 2.0)
+
+
+_K15_PARTIALS = _k15_partials()
 
 SEGMENT_REL_TOL = 1e-10
 MAX_PANELS = 2**14
@@ -121,7 +151,7 @@ def _gauss_kronrod(fn, a, b, panels: int):
     """
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    t = ((np.arange(panels)[:, None] + (_K15_NODES[None, :] + 1.0) / 2.0) / panels).reshape(-1)
+    t = ((np.arange(panels)[:, None] + _K15_T[None, :]) / panels).reshape(-1)
     w = np.tile(_K15_WEIGHTS / (2.0 * panels), panels)
     w_gauss = _G7_WEIGHTS / 2.0 if panels == 1 else np.empty(0)
     k = g = None
@@ -312,69 +342,155 @@ def _tensor_grid(x: np.ndarray, y: np.ndarray) -> bool:
     return x.size * y.size > 1 and all(p == 1 or q == 1 for p, q in zip(x_shape, y_shape))
 
 
-def _from_base(fn, a, b, base: int) -> np.ndarray:
-    """Integrals from knot ``base`` to every knot along the last axis, where
-    cell i = [a[..., i], b[..., i]] joins knots i and i + 1: one adaptive call
-    integrates every cell, and cumulative sums add them up outward from the base."""
-    if not np.size(a):  # a single knot
-        return np.zeros(np.shape(a)[:-1] + (1,))
-    cells = adaptive_segment_integral(fn, a, b)
-    right = np.cumsum(cells[..., base:], axis=-1)
-    left = -np.cumsum(cells[..., :base][..., ::-1], axis=-1)[..., ::-1]
-    return np.concatenate([left, np.zeros(cells.shape[:-1] + (1,)), right], axis=-1)
+def _integrand(phi: Field, x, y) -> np.ndarray:
+    """phi at (x, y): every point that an antiderivative integrates is sampled here."""
+    return phi._values(x, y)
+
+
+class _Panels:
+    """One K15 panel on each cell between consecutive ``knots``, and the nodes
+    of all panels as one array, node k of cell c at [k, c]: abscissae of shape
+    (15, 1, cells) that broadcast against a column of ordinates (axis 0), or
+    a column of ordinates of shape (15 * cells, 1) (axis 1)."""
+
+    def __init__(self, knots: np.ndarray, axis: int):
+        nodes = knots[:-1] + _K15_T[:, None] * (knots[1:] - knots[:-1])
+        self.knots = knots
+        self.nodes = nodes[:, None, :] if axis == 0 else nodes.reshape(-1, 1)
+
+
+# the panels (x, y) whose node arrays are being integrated; a leaf asked at one of
+# these very arrays answers from the same nodes instead of placing its own
+_SHARED: ContextVar[tuple] = ContextVar("shared_panels", default=(None, None))
+
+
+def _from_knot(cells: np.ndarray, m: int) -> np.ndarray:
+    """Integrals from knot m to every knot, per row, from the integrals over the
+    cells between them."""
+    right = np.cumsum(cells[:, m:], axis=-1)
+    left = -np.cumsum(cells[:, :m][:, ::-1], axis=-1)[:, ::-1]
+    return np.concatenate([left, np.zeros((len(cells), 1)), right], axis=-1)
+
+
+def _along(phi: Field, axis: int, panels: _Panels, across, start: float, at_nodes: bool):
+    """Integrals of phi along ``axis`` from ``start``, one row per coordinate of
+    ``across`` (a column for axis 0, a row for axis 1): to every knot of
+    ``panels``, or with ``at_nodes`` to every node.
+
+    phi is evaluated once at the nodes of all panels, chunked by rows.  Each
+    cell takes K15 where K15 and G7 agree on its one panel, as
+    ``adaptive_segment_integral`` would, and goes to it otherwise.  A node's
+    integral from its cell's start applies _K15_PARTIALS to the cell's node
+    values; in a cell that did not settle it is integrated adaptively.  A
+    ``start`` off the knots adds one segment per row from the nearest knot.
+    """
+    knots = panels.knots
+    cells, flat = len(knots) - 1, np.reshape(across, -1)
+    if not cells:  # a single knot
+        return np.zeros((flat.size, 1))
+    h = knots[1:] - knots[:-1]
+    nodes = panels.nodes.reshape(15, cells)
+    m = int(np.argmin(np.abs(knots - start)))
+
+    def at(s, o):
+        return _integrand(phi, s, o) if axis == 0 else _integrand(phi, o, s)
+
+    def adaptive(o, a, b):
+        return adaptive_segment_integral(lambda s: at(s, np.broadcast_to(o, s.shape)), a, b)
+
+    shared = list(_SHARED.get())
+    shared[axis] = panels
+    step = max(1, _MAX_BATCH // nodes.size)
+    out = []
+    for lo in range(0, flat.size, step):
+        o = flat[lo : lo + step]
+        if o.size == flat.size:
+            chunk = across  # whole, so a leaf inside phi can recognise it
+        else:
+            chunk = o[:, None] if axis == 0 else o[None, :]
+        token = _SHARED.set(tuple(shared))
+        try:
+            v = at(panels.nodes, chunk)
+        finally:
+            _SHARED.reset(token)
+        if axis:
+            v = v.reshape(15, cells, -1).transpose(0, 2, 1)
+        # (node, row, cell), summed over the nodes as _gauss_kronrod sums one panel
+        k = h * _fold(_K15_WEIGHTS[:, None, None] / 2.0 * v, None)
+        g = h * _fold(_G7_WEIGHTS[:, None, None] / 2.0 * v[:7], None)
+        _require_finite(k, g, panels=1)
+        r, c = np.nonzero(np.abs(k - g) > SEGMENT_REL_TOL * (np.abs(k) + 1.0))
+        if r.size:
+            k[r, c] = adaptive(o[r], knots[c], knots[c + 1])
+        values = _from_knot(k, m)
+        if at_nodes:
+            part = np.einsum("jk,krc->rjc", _K15_PARTIALS, v) * h
+            if r.size:
+                part[r, :, c] = adaptive(o[r, None], knots[c, None], nodes[:, c].T)
+            values = (values[:, None, :-1] + part).reshape(o.size, -1)
+        if knots[m] != start:
+            from_start = adaptive(o, np.full(o.shape, start), np.full(o.shape, knots[m]))
+            values = values + from_start[:, None]
+        out.append(values)
+    return np.concatenate(out)
 
 
 def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c.
 
-    On a tensor grid each cell between consecutive distinct abscissae (the
-    base inserted) is integrated once for all rows together, and likewise
-    each cell of the base column; cumulative sums from the base give every
-    point.  Any other batch integrates a whole L-path per point.  The values
-    at the latest points are kept, so the trees that hold the leaf, sampled
-    one after another on one mesh, share one quadrature.
+    On a tensor grid the abscissae (the base inserted) are the knots of one
+    K15 panel per cell, integrated for all rows together, and likewise the
+    ordinates for the base column; cumulative sums from the base give every
+    point.  Asked at the very node array of panels being integrated, the leaf
+    integrates on those same panels, so each nesting level adds one node array.
+    Any other batch integrates a whole L-path per point.  The leaf keeps its
+    latest values for each axis pattern of shared nodes, so the trees that hold
+    it, sampled one after another on one mesh, share one quadrature, and so do
+    the rows and the base column of the leaves that nest it.
     """
     phi1, phi2 = Phi.re, Phi.im
     x0, y0 = cfg.base.x, cfg.base.y
     c = cfg.constant_c
-    latest = [None]  # (points, values)
+    latest = {}  # (which axes are shared nodes) -> (points, values)
 
-    def on_mesh(x, y):
-        xk, xi = np.unique(np.append(x, x0), return_inverse=True)
-        yk, yi = np.unique(np.append(y, y0), return_inverse=True)
-        rows = yk[:, None]
-        cells = (len(yk), len(xk) - 1)
-        # a and b repeat along the rows, so the chunking sees every evaluation;
-        # the integrand reads one row of nodes, so it gets a tensor grid too
-        i1 = _from_base(
-            lambda s: phi1._values(s[:, :1], rows),
-            np.broadcast_to(xk[:-1], cells),
-            np.broadcast_to(xk[1:], cells),
-            xi[-1],
-        )
-        i2 = _from_base(lambda s: phi2._values(np.asarray(x0), s), yk[:-1], yk[1:], yi[-1])
-        xi = xi[:-1].reshape(x.shape)
-        yi = yi[:-1].reshape(y.shape)
+    def place(v, start, shared, axis):
+        """The panels that v's axis is integrated on and where each point of v
+        sits among their nodes (shared) or knots (placed here)."""
+        if shared is not None:
+            return shared, np.arange(v.size).reshape(v.shape)
+        knots, where = np.unique(np.append(v, start), return_inverse=True)
+        return _Panels(knots, axis), where[:-1].reshape(v.shape)
+
+    def on_mesh(x, y, px, py):
+        xp, xi = place(x, x0, px, 0)
+        yp, yi = place(y, y0, py, 1)
+        rows = y if py is not None else yp.knots[:, None]
+        i1 = _along(phi1, 0, xp, rows, x0, px is not None)
+        i2 = _along(phi2, 1, yp, np.full((1, 1), x0), y0, py is not None)[0]
         return 2.0 * (i1[yi, xi] + sign * i2[yi]) + c
 
     def per_point(x, y):
         x, y = np.broadcast_arrays(x, y)
         i1 = adaptive_segment_integral(
-            lambda s: phi1._values(s, np.broadcast_to(y, s.shape)), np.full_like(x, x0), x
+            lambda s: _integrand(phi1, s, np.broadcast_to(y, s.shape)), np.full_like(x, x0), x
         )
-        i2 = adaptive_segment_integral(lambda s: phi2._values(np.full_like(s, x0), s), y0, y)
+        i2 = adaptive_segment_integral(lambda s: _integrand(phi2, np.full_like(s, x0), s), y0, y)
         return 2.0 * (i1 + sign * i2) + c
 
     def value(x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
+        shared = zip((x, y), _SHARED.get())
+        px, py = (p if p is not None and v is p.nodes else None for v, p in shared)
+        pattern = (px is not None, py is not None)
         points = (x.shape, y.shape, x.tobytes(), y.tobytes())
-        hit = latest[0]
+        hit = latest.get(pattern)
         if hit is not None and hit[0] == points:
             return hit[1]
-        values = np.asarray((on_mesh if _tensor_grid(x, y) else per_point)(x, y))
+        # shared nodes always come as a row of abscissae and a column of ordinates
+        values = np.asarray(on_mesh(x, y, px, py) if _tensor_grid(x, y) else per_point(x, y))
         values.setflags(write=False)
-        latest[0] = (points, values)
+        latest[pattern] = (points, values)
         return values
 
     return value

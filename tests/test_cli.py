@@ -440,16 +440,21 @@ def test_every_named_case_runs_clean(tmp_path):
 
 
 def test_no_runtime_dependency_beyond_numpy():
-    """Importing the package and its CLI loads the standard library and numpy only."""
+    """Importing the package and its CLI loads the standard library and numpy only,
+    and of numpy only what ``import numpy`` loads (no ``numpy.polynomial``, say)."""
     code = (
-        "import sys; before = set(sys.modules); import riccati2d, riccati2d.cli; "
-        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+        "import sys; before = set(sys.modules); import numpy; plain = set(sys.modules); "
+        "import riccati2d, riccati2d.cli; new = set(sys.modules) - before; "
+        "print(*sorted({name.split('.')[0] for name in new})); "
+        "print('-', *sorted(name for name in new - plain if name.startswith('numpy.')))"
     )
     src = os.path.dirname(os.path.dirname(riccati2d.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
+    top, numpy_extra = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
-    ).stdout.split()
+    ).stdout.splitlines()
+    out = top.split()
     assert "riccati2d" in out and "numpy" in out
     assert [m for m in out if m not in sys.stdlib_module_names | {"numpy", "riccati2d"}] == []
+    assert numpy_extra.split() == ["-"]

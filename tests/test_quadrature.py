@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -26,10 +26,12 @@ from riccati2d import (
     op_Abar,
 )
 from riccati2d import expressions as ex
+from riccati2d import quadrature
 from riccati2d.cli import parse_config, run
 from riccati2d.quadrature import (
     _G7_WEIGHTS,
     _K15_NODES,
+    _K15_PARTIALS,
     _K15_WEIGHTS,
     adaptive_segment_integral,
     antiderivative_along,
@@ -246,20 +248,12 @@ def test_antiderivative_along_rejects_wrong_start(unit_square):
 def test_vanishing_partial_skips_quadrature(monkeypatch):
     """With Im Q = 0 the y-partial of exp(A[Q]) folds to zero: no quadrature runs."""
     from riccati2d import exp_family, exp_field
-    from riccati2d import quadrature
 
-    calls = []
-    inner = quadrature.adaptive_segment_integral
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "adaptive_segment_integral", counting)
+    points = _count_integrand(monkeypatch)
     sol = exp_family(1.0, 0.0)
     u = exp_field(op_A(sol.Q, sol.problem().cfg))
     assert max_abs(u.dy()) == 0.0
-    assert calls == []
+    assert points == []
 
 
 # phi = sin(7x)cosh(3y) + x cos(9y) on [0, 3]^2: op_A(d_z phi) = phi - phi(0, 0)
@@ -294,11 +288,24 @@ def test_non_converging_integrand_raises():
         adaptive_segment_integral(lambda s: np.full(s.shape, np.inf), 0.0, np.ones(3))
 
 
+def _count_integrand(monkeypatch):
+    """A list that collects the number of points of every integrand evaluation
+    of every antiderivative, mesh and per-point paths alike."""
+    points = []
+    inner = quadrature._integrand
+
+    def counting(phi, x, y):
+        out = inner(phi, x, y)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(quadrature, "_integrand", counting)
+    return points
+
+
 def _count_quadrature(monkeypatch):
     """Lists that collect one entry per adaptive call and the size of every
     integrand batch."""
-    from riccati2d import quadrature
-
     calls, points = [], []
     inner = quadrature.adaptive_segment_integral
 
@@ -316,15 +323,14 @@ def _count_quadrature(monkeypatch):
 
 
 def test_mesh_sample_integrates_each_cell_once(monkeypatch):
-    """Two quadrature calls for the whole mesh, each settling on one 15-node panel
-    per cell: 201 rows of 200 cells (the base is a mesh node), then the 200 cells
-    of the base column."""
-    calls, points = _count_quadrature(monkeypatch)
+    """Two integrand evaluations for the whole mesh, each at one 15-node panel per
+    cell that settles there: 201 rows of 200 cells (the base is a mesh node), then
+    the 200 cells of the base column."""
+    points = _count_integrand(monkeypatch)
     n = 201
     _, A = _phi_antiderivative(n)
     assert A.sample().shape == (n, n)
-    assert len(calls) == 2
-    assert sum(points) == 15 * (201 * 200 + 200)
+    assert points == [15 * 201 * 200, 15 * 200]
 
 
 def test_point_l_path_cost_and_error(monkeypatch):
@@ -344,15 +350,16 @@ def _exp_text(theta):
 
 def test_darboux_41_halves_the_integrand_points(monkeypatch):
     """The nested antiderivatives of darboux at 41^2 (v's leaf inside u_back's
-    Phi) take at most half the 318,192 points of 8- and 16-node levels."""
+    Phi) share their panels: at most 60,000 integrand points, against 138,180
+    when each nesting level placed 15 nodes in each cell of the level above."""
     text = (
         f"case = darboux\ndomain = 0 1 0 1 41 41\n"
         f"u = {_exp_text(0.93)}\nf = {_exp_text(-0.5)}\n"
     )
-    calls, points = _count_quadrature(monkeypatch)
+    points = _count_integrand(monkeypatch)
     assert run(parse_config(text))["identities"][0]["pass"] is True
-    assert sum(points) <= 318_192 // 2
-    assert len(calls) < 22
+    assert sum(points) <= 60_000
+    assert len(points) < 22
 
 
 _POINT = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
@@ -381,9 +388,10 @@ def test_repeated_leaf_integrates_once(monkeypatch):
 
     sol = exp_family(1.0, 0.9272952180016123)
     u = exp_field(op_A(sol.Q, sol.problem().cfg))
-    calls, _ = _count_quadrature(monkeypatch)
+    points = _count_integrand(monkeypatch)
     assert max_abs(u.dx() - 2.0 * sol.Q.re * u) < 1e-12
-    assert len(calls) == 2
+    nx, ny = sol.domain.nx, sol.domain.ny  # the base is a mesh node
+    assert points == [15 * ny * (nx - 1), 15 * (ny - 1)]
 
 
 def test_tensor_grid_matches_per_point_values(unit_square):
@@ -400,3 +408,115 @@ def test_tensor_grid_matches_per_point_values(unit_square):
     xg, yg = unit_square.mesh(9, 7)
     np.testing.assert_allclose(on_axes, phi(xg, yg), rtol=0, atol=1e-12)
     np.testing.assert_allclose(phi(xs.T, ys.T), phi(xg.T, yg.T), rtol=0, atol=1e-12)
+
+
+def test_k15_partials_integrate_degree_14_exactly():
+    """On [-1, 1], 2 * _K15_PARTIALS applied to a polynomial's values at the K15
+    nodes gives its integral from -1 to each node, for every degree up to 14."""
+    from numpy.polynomial import legendre
+
+    for coef in np.eye(15):
+        exact = legendre.legval(_K15_NODES, legendre.legint(coef, lbnd=-1))
+        got = 2.0 * _K15_PARTIALS @ legendre.legval(_K15_NODES, coef)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14)
+
+
+def _nested(nx, ny, bases, seed="exp(0.6*x + 0.8*y)"):
+    """phi <- op_A(d_z(phi * (1 + 0.3xy))) on the unit square, once per base,
+    innermost first."""
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, nx, ny, Point(*bases[-1]))
+    phi, weight = ExprField(domain, seed), ExprField(domain, "1 + 0.3*x*y")
+    for base in bases:
+        phi = op_A(d_z(phi * weight), AntiderivativeConfig(Point(*base)))
+    return phi
+
+
+def _mesh_minus_per_point(phi):
+    xg, yg = phi.domain.mesh()
+    on_mesh = phi.sample()
+    return np.max(np.abs(on_mesh - phi(xg.ravel(), yg.ravel()).reshape(on_mesh.shape)))
+
+
+@st.composite
+def _nested_bases(draw):
+    """Mesh sizes and 2-3 bases, innermost first, each coordinate a knot or not."""
+    nx, ny = draw(st.integers(3, 25)), draw(st.integers(3, 25))
+    if draw(st.integers(1, 2)) == 2:  # depth 2: three leaves, on a coarser mesh
+        nx, ny = min(nx, 11), min(ny, 11)
+        depth = 2
+    else:
+        depth = 1
+
+    def coord(n):
+        knot = st.integers(0, n - 1).map(lambda i: float(np.linspace(0.0, 1.0, n)[i]))
+        return draw(st.one_of(knot, st.floats(0.0, 1.0)))
+
+    return nx, ny, [(coord(nx), coord(ny)) for _ in range(depth + 1)]
+
+
+@given(case=_nested_bases())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(case=(21, 21, [(0.37, 0.41), (0.0, 0.0)]))
+def test_nested_mesh_matches_per_point_values(case):
+    """Nested leaves answer from the panels of the leaf that asks them, with
+    bases on or off its knots: the mesh sample equals each point's own L-path."""
+    nx, ny, bases = case
+    assert _mesh_minus_per_point(_nested(nx, ny, bases)) <= 1e-12
+
+
+def test_cells_that_do_not_settle_at_shared_nodes_match_per_point_values():
+    """sin(40x + 30y) on cells a quarter to a third wide does not settle on one
+    panel.  Asked at the nodes of shared panels, on either axis, a leaf
+    integrates those cells and the integrals to their nodes adaptively: within
+    the settle tolerance of each point's own L-path.  So does a nested sample."""
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, 5, 4, Point(0.0, 0.0))
+    seed = "sin(40*x + 30*y)"
+    leaf = op_A(d_z(ExprField(domain, seed)), AntiderivativeConfig(Point(0.37, 0.41)))
+    xs, ys = domain.axes()
+    on_x, on_y = quadrature._Panels(xs[0], 0), quadrature._Panels(ys[:, 0], 1)
+    for x_panels, y_panels in ((on_x, None), (None, on_y)):
+        x = xs if x_panels is None else x_panels.nodes
+        y = ys if y_panels is None else y_panels.nodes
+        token = quadrature._SHARED.set((x_panels, y_panels))
+        try:
+            shared = leaf._values(x, y)
+        finally:
+            quadrature._SHARED.reset(token)
+        own = leaf(*np.broadcast_arrays(x, y))
+        tol = quadrature.SEGMENT_REL_TOL * (np.max(np.abs(own)) + 1.0)
+        assert np.max(np.abs(shared - own)) <= tol
+    phi = _nested(5, 4, [(0.37, 0.41), (0.0, 0.0)], seed=seed)
+    assert _mesh_minus_per_point(phi) <= quadrature.SEGMENT_REL_TOL * (max_abs(phi) + 1.0)
+
+
+def test_non_finite_nested_integrand_raises(unit_square):
+    """An inner leaf whose integrand is infinite raises while the outer leaf's
+    integrand, the inner leaf itself, is evaluated at the shared nodes."""
+
+    def infinite(x, y):
+        return np.full(np.broadcast(x, y).shape, np.inf)
+
+    zero = lambda: ex.Const(0.0)
+    cfg = AntiderivativeConfig(unit_square.base)
+    inner = quadrature._antiderivative(
+        ExprField(unit_square, ex.Given(infinite, zero, zero, "inf")), cfg, -1.0, "op_A"
+    )
+    outer = quadrature._antiderivative(inner, cfg, -1.0, "op_A")  # checks skipped
+    with pytest.raises(QuadratureError, match="non-finite"):
+        outer.sample(5, 5)
+
+
+def test_nested_integrand_points_grow_linearly_with_depth(monkeypatch):
+    """Building and sampling phi <- op_A(d_z(phi * (1 + 0.3xy))) d times on 41^2
+    takes at most 8x the points of d = 1 at d = 4 (103,245,600 sample points when
+    each level placed its own nodes), with the same values."""
+    points = _count_integrand(monkeypatch)
+    sums = [2188.18157919534, 2446.32279666265, 2747.42931698264, 3099.83239161716]
+    counts = []
+    for depth, expected in enumerate(sums, start=1):
+        points.clear()
+        phi = _nested(41, 41, [(0.0, 0.0)] * depth)
+        assert np.sum(phi.sample()) == pytest.approx(expected, rel=1e-12, abs=0)
+        counts.append(sum(points))
+    assert counts[0] == 15 * (41 * 40 + 40)
+    assert counts[3] <= 8 * counts[0]
