@@ -3,33 +3,27 @@
 The antiderivative operators integrate along the canonical L-path (vertical
 segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
-built around.  Mesh samples, whose abscissae and ordinates vary along
-different axes (as ``Field.sample`` passes them), put one K15 panel on each
-cell between neighbouring abscissae (the base inserted) and evaluate the
-integrand once at the nodes of all panels, for all rows together; the cells
-of the base column likewise.  Cumulative sums of the cell integrals from the
-base give every point.  An antiderivative inside the integrand is asked at
-those very node arrays and integrates on the same panels: the integral from a
-cell's start to each of its nodes is a fixed 15x15 spectral integration
-matrix applied to the cell's node values, so each nesting level adds one node
-array, not 15 nodes around every node.  A cell that does not settle on its
-one panel is integrated adaptively, and so are the integrals to its nodes.
+built around.  A mesh sample (abscissae and ordinates along different axes,
+as ``Field.sample`` passes them) integrates all rows on one partition of the
+rectangle's side, and the base column on another.  Panels are bisected from
+[side start, base] and [base, side end] until each is certified for every row
+by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
+SEGMENT_REL_TOL * (|K15| + 1), so their number follows the integrand, not the
+grid.  A point's value is the sum of the panel integrals from the base plus
+the partial integral in its own panel, the antiderivative of the panel's
+interpolant (through its values at -1 and the 15 nodes).  A leaf nested in the
+integrand is asked at a tensor grid of panel nodes and takes the same path.
 Any other points (contour nodes, dense arrays, single points) get one
-adaptive L-path each.
-
-Segment quadrature is the embedded Gauss-Kronrod pair G7/K15 (QUADPACK's
-``qk15``), whose 15 nodes include the 7 Gauss nodes, so each node is
-evaluated once per level.  On one panel a point settles when K15 and G7
-agree; after that the panels double and a point settles when K15 agrees with
-K15 on half as many panels.  Each point keeps the K15 value of the first level
-at which it settled, so its value does not depend on the other points of its
-batch.  A non-finite value, or a point still unsettled at MAX_PANELS panels,
-raises QuadratureError.
+adaptive L-path each: embedded Gauss-Kronrod G7/K15 (QUADPACK's ``qk15``),
+settled on one panel when K15 and G7 agree, else on doubled panels when K15
+agrees with K15 on half as many.  Each point keeps the value of the first
+level at which it settled, so it does not depend on the other points of its
+batch.  A non-finite value, or a partition or point still uncertified at
+MAX_PANELS panels, raises QuadratureError.
 """
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -79,25 +73,50 @@ _G7_WEIGHTS = np.array([
 _K15_T = (_K15_NODES + 1.0) / 2.0
 
 
-def _k15_partials() -> np.ndarray:
-    """S with S[j, k] = (1/2) int_{-1}^{t_j} l_k(t) dt, l_k the Lagrange basis on
-    the K15 nodes t: on a panel [a, b], (b - a) * S @ f integrates the degree-14
-    interpolant of the node values f from a to each node.  Row j is K15 on
-    [-1, t_j], which is exact for the degree-14 integrand."""
+def _weights(points: np.ndarray) -> np.ndarray:
+    """1 / prod_{i != j} (x_j - x_i): the barycentric weights of ``points``, which are
+    also the leading coefficients of their Lagrange basis."""
+    off = ~np.eye(len(points), dtype=bool)
+    return 1.0 / np.where(off, points[:, None] - points, 1.0).prod(axis=-1)
+
+
+def _partials() -> np.ndarray:
+    """S with S[j, k] = (1/2) int_{-1}^{x_j} l_k(t) dt at the points x = (-1, t),
+    l_k the Lagrange basis on the K15 nodes t: on a panel [a, b], (b - a) * S @ f
+    integrates the degree-14 interpolant of the node values f from a to -1 and
+    to each node.  Row j is K15 on [-1, x_j], which is exact for that integrand."""
     t = _K15_NODES
     half = (t + 1.0) / 2.0
     tau = -1.0 + half[:, None] * (t + 1.0)  # (j, m): the K15 nodes on [-1, t_j]
     off = ~np.eye(15, dtype=bool)  # (k, i): i != k
-    basis = np.where(off, tau[:, :, None, None] - t, 1.0).prod(axis=-1)  # (j, m, k)
-    basis = basis / np.where(off, t[:, None] - t, 1.0).prod(axis=-1)
-    return np.einsum("m,jmk->jk", _K15_WEIGHTS, basis) * (half[:, None] / 2.0)
+    basis = np.where(off, tau[:, :, None, None] - t, 1.0).prod(axis=-1) * _weights(t)
+    partials = np.einsum("m,jmk->jk", _K15_WEIGHTS, basis) * (half[:, None] / 2.0)
+    return np.concatenate([np.zeros((1, 15)), partials])
 
 
-_K15_PARTIALS = _k15_partials()
+def _chebyshev(tau: np.ndarray) -> np.ndarray:
+    """T_0 .. T_15 at each tau in [-1, 1], one row per tau."""
+    return np.cos(np.arccos(tau)[:, None] * np.arange(16.0))
+
+
+# a panel's partial integral, the degree-15 antiderivative of its interpolant,
+# is known at -1 (zero) and at the 15 nodes; a row of node values times this
+# (15, 16) matrix gives its Chebyshev coefficients, so its value anywhere
+_PARTIAL_COEFFICIENTS = np.linalg.solve(_chebyshev(np.append(-1.0, _K15_NODES)), _partials()).T
+# K15 over a panel's width, and the Legendre coefficients 13 and 14 of the
+# interpolant: its monomial coefficients of t^13 (sum_j w_j t_j f_j, as the nodes
+# sum to 0) and t^14 (sum_j w_j f_j) over the leading coefficients of P_13, P_14
+_PANEL_SUMS = np.stack([_K15_WEIGHTS / 2.0, _K15_NODES, np.ones(15)], axis=1)
+_PANEL_SUMS[:, 1:] *= _weights(_K15_NODES)[:, None]
+_PANEL_SUMS[:, 1:] /= [math.comb(26, 13) / 2.0**13, math.comb(28, 14) / 2.0**14]
 
 SEGMENT_REL_TOL = 1e-10
 MAX_PANELS = 2**14
 _MAX_BATCH = 1_000_000  # integrand points per evaluation chunk; bounds memory only
+# an antiderivative keeps its values at this many latest point sets: nested one
+# level down, a leaf is asked at the mesh, at the row nodes and at the base-column
+# nodes of the leaf above it, and again by every level above that
+_KEPT = 3
 
 
 @dataclass(frozen=True)
@@ -347,126 +366,106 @@ def _integrand(phi: Field, x, y) -> np.ndarray:
     return phi._values(x, y)
 
 
-class _Panels:
-    """One K15 panel on each cell between consecutive ``knots``, and the nodes
-    of all panels as one array, node k of cell c at [k, c]: abscissae of shape
-    (15, 1, cells) that broadcast against a column of ordinates (axis 0), or
-    a column of ordinates of shape (15 * cells, 1) (axis 1)."""
+def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray, across):
+    """Integrals of phi along ``axis`` from ``start`` to each of the sorted distinct
+    ``targets``, one row per coordinate of ``across`` (ordinates for axis 0,
+    abscissae for axis 1): an array of shape (across.size, targets.size).
 
-    def __init__(self, knots: np.ndarray, axis: int):
-        nodes = knots[:-1] + _K15_T[:, None] * (knots[1:] - knots[:-1])
-        self.knots = knots
-        self.nodes = nodes[:, None, :] if axis == 0 else nodes.reshape(-1, 1)
-
-
-# the panels (x, y) whose node arrays are being integrated; a leaf asked at one of
-# these very arrays answers from the same nodes instead of placing its own
-_SHARED: ContextVar[tuple] = ContextVar("shared_panels", default=(None, None))
-
-
-def _from_knot(cells: np.ndarray, m: int) -> np.ndarray:
-    """Integrals from knot m to every knot, per row, from the integrals over the
-    cells between them."""
-    right = np.cumsum(cells[:, m:], axis=-1)
-    left = -np.cumsum(cells[:, :m][:, ::-1], axis=-1)[:, ::-1]
-    return np.concatenate([left, np.zeros((len(cells), 1)), right], axis=-1)
-
-
-def _along(phi: Field, axis: int, panels: _Panels, across, start: float, at_nodes: bool):
-    """Integrals of phi along ``axis`` from ``start``, one row per coordinate of
-    ``across`` (a column for axis 0, a row for axis 1): to every knot of
-    ``panels``, or with ``at_nodes`` to every node.
-
-    phi is evaluated once at the nodes of all panels, chunked by rows.  Each
-    cell takes K15 where K15 and G7 agree on its one panel, as
-    ``adaptive_segment_integral`` would, and goes to it otherwise.  A node's
-    integral from its cell's start applies _K15_PARTIALS to the cell's node
-    values; in a cell that did not settle it is integrated adaptively.  A
-    ``start`` off the knots adds one segment per row from the nearest knot.
+    One partition serves every row.  It starts from the panels between the ends
+    of the rectangle's ``side`` and ``start`` and bisects every panel that is
+    not certified: for every row, the Legendre coefficients 13 and 14 of the
+    interpolant on its K15 nodes satisfy (|c13| + |c14|) * h <= SEGMENT_REL_TOL *
+    (|K15| + 1).  Only panels that meet the span of the targets and start are
+    kept, so the panel that holds a target does not depend on the other
+    targets.  phi is evaluated once per round, at the nodes of the new panels
+    only, chunked by rows.  A target's value is the sum of the panel integrals
+    from start to its panel's left edge plus the partial integral from that
+    edge, the antiderivative of the panel's interpolant, from the node values
+    kept for the certified panels that hold targets.
     """
-    knots = panels.knots
-    cells, flat = len(knots) - 1, np.reshape(across, -1)
-    if not cells:  # a single knot
-        return np.zeros((flat.size, 1))
-    h = knots[1:] - knots[:-1]
-    nodes = panels.nodes.reshape(15, cells)
-    m = int(np.argmin(np.abs(knots - start)))
-
-    def at(s, o):
-        return _integrand(phi, s, o) if axis == 0 else _integrand(phi, o, s)
-
-    def adaptive(o, a, b):
-        return adaptive_segment_integral(lambda s: at(s, np.broadcast_to(o, s.shape)), a, b)
-
-    shared = list(_SHARED.get())
-    shared[axis] = panels
-    step = max(1, _MAX_BATCH // nodes.size)
-    out = []
-    for lo in range(0, flat.size, step):
-        o = flat[lo : lo + step]
-        if o.size == flat.size:
-            chunk = across  # whole, so a leaf inside phi can recognise it
-        else:
-            chunk = o[:, None] if axis == 0 else o[None, :]
-        token = _SHARED.set(tuple(shared))
-        try:
-            v = at(panels.nodes, chunk)
-        finally:
-            _SHARED.reset(token)
-        if axis:
-            v = v.reshape(15, cells, -1).transpose(0, 2, 1)
-        # (node, row, cell), summed over the nodes as _gauss_kronrod sums one panel
-        k = h * _fold(_K15_WEIGHTS[:, None, None] / 2.0 * v, None)
-        g = h * _fold(_G7_WEIGHTS[:, None, None] / 2.0 * v[:7], None)
-        _require_finite(k, g, panels=1)
-        r, c = np.nonzero(np.abs(k - g) > SEGMENT_REL_TOL * (np.abs(k) + 1.0))
-        if r.size:
-            k[r, c] = adaptive(o[r], knots[c], knots[c + 1])
-        values = _from_knot(k, m)
-        if at_nodes:
-            part = np.einsum("jk,krc->rjc", _K15_PARTIALS, v) * h
-            if r.size:
-                part[r, :, c] = adaptive(o[r, None], knots[c, None], nodes[:, c].T)
-            values = (values[:, None, :-1] + part).reshape(o.size, -1)
-        if knots[m] != start:
-            from_start = adaptive(o, np.full(o.shape, start), np.full(o.shape, knots[m]))
-            values = values + from_start[:, None]
-        out.append(values)
-    return np.concatenate(out)
+    across = np.ravel(across)
+    lo, hi = min(targets[0], start), max(targets[-1], start)
+    edges = np.array(sorted({min(lo, side[0]), start, max(hi, side[1])}))
+    a, b = edges[:-1], edges[1:]  # the panels of this round
+    done_a, done_k = [np.empty(0)], [np.empty((across.size, 0))]
+    held = []  # (left, right, its targets first:last, node values) of certified panels
+    while True:
+        span = (b > lo) & (a < hi)
+        a, b = a[span], b[span]
+        if not a.size:
+            break
+        h = b - a
+        nodes = (a[:, None] + _K15_T * h[:, None]).reshape(1, -1)
+        first, last = np.searchsorted(targets, a), np.searchsorted(targets, b)
+        hold = np.flatnonzero(last > first)  # the panels with targets in [a, b)
+        k, ok = np.empty((across.size, a.size)), np.ones(a.size, dtype=bool)
+        at_hold = np.empty((across.size, hold.size, 15))
+        step = max(1, _MAX_BATCH // nodes.size)
+        for row in range(0, across.size, step):
+            rows, o = slice(row, row + step), across[row : row + step, None]
+            v = _integrand(phi, nodes, o) if axis == 0 else _integrand(phi, o, nodes)
+            if not np.all(np.isfinite(v)):
+                raise QuadratureError(
+                    f"segment quadrature gave a non-finite value at {a.size} panels"
+                )
+            v = v.reshape(len(o), a.size, 15)
+            sums = v @ _PANEL_SUMS  # (row, panel, [K15 / h, c13, c14])
+            k[rows] = sums[..., 0] * h
+            tail = np.abs(sums[..., 1:]).sum(axis=-1) * h
+            ok &= np.all(tail <= SEGMENT_REL_TOL * (np.abs(k[rows]) + 1.0), axis=0)
+            at_hold[rows] = v[:, hold]
+        done_a.append(a[ok])
+        done_k.append(k[:, ok])
+        keep = ok[hold]
+        at = hold[keep]
+        held += zip(a[at], b[at], first[at], last[at], at_hold.transpose(1, 0, 2)[keep])
+        a, b = a[~ok], b[~ok]
+        if not a.size:
+            break
+        if sum(map(len, done_a)) + 2 * a.size > MAX_PANELS:
+            raise QuadratureError(
+                f"segment quadrature did not converge within {MAX_PANELS} panels: {a.size} "
+                f"panels not certified at relative tolerance {SEGMENT_REL_TOL:g}"
+            )
+        mid = a + (b - a) / 2.0
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    lefts = np.concatenate(done_a)
+    order = np.argsort(lefts)
+    lefts, k = lefts[order], np.concatenate(done_k, axis=1)[:, order]
+    m = int(np.searchsorted(lefts, start))
+    before, after = -np.cumsum(k[:, :m][:, ::-1], axis=1)[:, ::-1], np.cumsum(k[:, m:], axis=1)
+    from_start = np.hstack([before, np.zeros((across.size, 1)), after])  # at each edge
+    out = np.repeat(from_start[:, -1:], targets.size, axis=1)  # targets on the last edge
+    for left, right, first, last, at_nodes in held:
+        tau = 2.0 * ((targets[first:last] - left) / (right - left)) - 1.0
+        partial = (at_nodes @ _PARTIAL_COEFFICIENTS) @ (_chebyshev(tau).T * (right - left))
+        out[:, first:last] = from_start[:, np.searchsorted(lefts, left), None] + partial
+    return out
 
 
 def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c.
 
-    On a tensor grid the abscissae (the base inserted) are the knots of one
-    K15 panel per cell, integrated for all rows together, and likewise the
-    ordinates for the base column; cumulative sums from the base give every
-    point.  Asked at the very node array of panels being integrated, the leaf
-    integrates on those same panels, so each nesting level adds one node array.
-    Any other batch integrates a whole L-path per point.  The leaf keeps its
-    latest values for each axis pattern of shared nodes, so the trees that hold
-    it, sampled one after another on one mesh, share one quadrature, and so do
-    the rows and the base column of the leaves that nest it.
+    On a tensor grid the rows, one per distinct ordinate, are integrated on one
+    certified partition of the abscissae, and the base column on one of the
+    ordinates (``_along``).  A leaf nested in the integrand is asked at a
+    tensor grid of panel nodes and rows, and takes the same path.  Any other
+    batch integrates a whole L-path per point.  The leaf keeps its values at the
+    latest _KEPT point sets, so the trees that hold it, sampled one after another
+    on one mesh, share one quadrature, and so do the levels that nest it.
     """
     phi1, phi2 = Phi.re, Phi.im
     x0, y0 = cfg.base.x, cfg.base.y
     c = cfg.constant_c
-    latest = {}  # (which axes are shared nodes) -> (points, values)
+    kept = {}  # points -> values, oldest first
 
-    def place(v, start, shared, axis):
-        """The panels that v's axis is integrated on and where each point of v
-        sits among their nodes (shared) or knots (placed here)."""
-        if shared is not None:
-            return shared, np.arange(v.size).reshape(v.shape)
-        knots, where = np.unique(np.append(v, start), return_inverse=True)
-        return _Panels(knots, axis), where[:-1].reshape(v.shape)
-
-    def on_mesh(x, y, px, py):
-        xp, xi = place(x, x0, px, 0)
-        yp, yi = place(y, y0, py, 1)
-        rows = y if py is not None else yp.knots[:, None]
-        i1 = _along(phi1, 0, xp, rows, x0, px is not None)
-        i2 = _along(phi2, 1, yp, np.full((1, 1), x0), y0, py is not None)[0]
+    def on_mesh(x, y):
+        xs, xi = np.unique(x, return_inverse=True)
+        ys, yi = np.unique(y, return_inverse=True)
+        xi, yi = xi.reshape(x.shape), yi.reshape(y.shape)
+        d = Phi.domain
+        i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, xs, ys)
+        i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, ys, x0)[0]
         return 2.0 * (i1[yi, xi] + sign * i2[yi]) + c
 
     def per_point(x, y):
@@ -480,17 +479,14 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     def value(x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        shared = zip((x, y), _SHARED.get())
-        px, py = (p if p is not None and v is p.nodes else None for v, p in shared)
-        pattern = (px is not None, py is not None)
         points = (x.shape, y.shape, x.tobytes(), y.tobytes())
-        hit = latest.get(pattern)
-        if hit is not None and hit[0] == points:
-            return hit[1]
-        # shared nodes always come as a row of abscissae and a column of ordinates
-        values = np.asarray(on_mesh(x, y, px, py) if _tensor_grid(x, y) else per_point(x, y))
-        values.setflags(write=False)
-        latest[pattern] = (points, values)
+        values = kept.pop(points, None)
+        if values is None:
+            values = np.asarray(on_mesh(x, y) if _tensor_grid(x, y) else per_point(x, y))
+            values.setflags(write=False)
+        kept[points] = values
+        if len(kept) > _KEPT:
+            del kept[next(iter(kept))]
         return values
 
     return value

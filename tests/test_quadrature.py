@@ -31,7 +31,6 @@ from riccati2d.cli import parse_config, run
 from riccati2d.quadrature import (
     _G7_WEIGHTS,
     _K15_NODES,
-    _K15_PARTIALS,
     _K15_WEIGHTS,
     adaptive_segment_integral,
     antiderivative_along,
@@ -274,11 +273,15 @@ def test_value_independent_of_batch_size():
     assert np.max(np.abs(batch - alone)) <= 1e-12 * abs(alone)
 
 
-def test_mesh_antiderivative_accurate_at_801():
+def test_mesh_antiderivative_accurate_at_801(monkeypatch):
+    """At 801^2 the rows take the 15 panels of 201^2 and 401^2, and the
+    vanishing base column one."""
+    points = _count_integrand(monkeypatch)
     phi, A = _phi_antiderivative(801)
     xg, yg = phi.domain.mesh()
     exact = phi(xg, yg) - phi.evaluate(Point(0.0, 0.0))
     assert np.max(np.abs(A.sample() - exact)) <= 1e-9
+    assert sum(points) == 15 * (801 * 15 + 1)
 
 
 def test_non_converging_integrand_raises():
@@ -322,15 +325,22 @@ def _count_quadrature(monkeypatch):
     return calls, points
 
 
-def test_mesh_sample_integrates_each_cell_once(monkeypatch):
-    """Two integrand evaluations for the whole mesh, each at one 15-node panel per
-    cell that settles there: 201 rows of 200 cells (the base is a mesh node), then
-    the 200 cells of the base column."""
+def test_mesh_sample_takes_the_same_panels_at_201_and_401(monkeypatch):
+    """The panels follow the integrand, not the grid: 201^2 and 401^2 evaluate
+    the same 1, 2, 4 and 8 new panels per round for all rows, so their integrand
+    points are in the ratio of their rows, 401/201 (one panel per cell took
+    606,000 and 2,412,000 points).  The base column, where the integrand
+    vanishes, takes one panel."""
     points = _count_integrand(monkeypatch)
-    n = 201
-    _, A = _phi_antiderivative(n)
-    assert A.sample().shape == (n, n)
-    assert points == [15 * 201 * 200, 15 * 200]
+    rounds = {}
+    for n in (201, 401):
+        points.clear()
+        _, A = _phi_antiderivative(n)
+        assert A.sample().shape == (n, n)
+        *rows, column = points
+        rounds[n] = [p / (15 * n) for p in rows]
+        assert column == 15
+    assert rounds[201] == rounds[401] == [1, 2, 4, 8]
 
 
 def test_point_l_path_cost_and_error(monkeypatch):
@@ -350,15 +360,16 @@ def _exp_text(theta):
 
 def test_darboux_41_halves_the_integrand_points(monkeypatch):
     """The nested antiderivatives of darboux at 41^2 (v's leaf inside u_back's
-    Phi) share their panels: at most 60,000 integrand points, against 138,180
-    when each nesting level placed 15 nodes in each cell of the level above."""
+    Phi) take panels sized to their exp integrands: at most 5,000 integrand
+    points, against 45,780 with one panel per cell and 138,180 when each nesting
+    level also placed 15 nodes in each cell of the level above."""
     text = (
         f"case = darboux\ndomain = 0 1 0 1 41 41\n"
         f"u = {_exp_text(0.93)}\nf = {_exp_text(-0.5)}\n"
     )
     points = _count_integrand(monkeypatch)
     assert run(parse_config(text))["identities"][0]["pass"] is True
-    assert sum(points) <= 60_000
+    assert sum(points) <= 5_000
     assert len(points) < 22
 
 
@@ -383,15 +394,15 @@ def test_point_value_independent_of_its_batch(point, others, data):
 
 
 def test_repeated_leaf_integrates_once(monkeypatch):
-    """u = exp(A[Q]) occurs twice in u_x - 2 Q1 u; both occurrences share one evaluation."""
+    """u = exp(A[Q]) occurs twice in u_x - 2 Q1 u; both occurrences share one
+    evaluation: one panel for all rows, one for the base column."""
     from riccati2d import exp_family, exp_field
 
     sol = exp_family(1.0, 0.9272952180016123)
     u = exp_field(op_A(sol.Q, sol.problem().cfg))
     points = _count_integrand(monkeypatch)
     assert max_abs(u.dx() - 2.0 * sol.Q.re * u) < 1e-12
-    nx, ny = sol.domain.nx, sol.domain.ny  # the base is a mesh node
-    assert points == [15 * ny * (nx - 1), 15 * (ny - 1)]
+    assert points == [15 * sol.domain.ny, 15]
 
 
 def test_tensor_grid_matches_per_point_values(unit_square):
@@ -411,14 +422,23 @@ def test_tensor_grid_matches_per_point_values(unit_square):
 
 
 def test_k15_partials_integrate_degree_14_exactly():
-    """On [-1, 1], 2 * _K15_PARTIALS applied to a polynomial's values at the K15
-    nodes gives its integral from -1 to each node, for every degree up to 14."""
+    """A mesh antiderivative of 1e-12 * P_k(x), k <= 14, on [-1, 1] from the base
+    -1 is 1e-12 times the integral of P_k from -1 at arbitrary abscissae.  The
+    factor keeps the Legendre tail under the certificate, so the one panel
+    [-1, 1] holds every abscissa and its partial weights integrate the K15
+    interpolant, which is the polynomial itself."""
     from numpy.polynomial import legendre
 
-    for coef in np.eye(15):
-        exact = legendre.legval(_K15_NODES, legendre.legint(coef, lbnd=-1))
-        got = 2.0 * _K15_PARTIALS @ legendre.legval(_K15_NODES, coef)
-        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14)
+    domain = DomainSpec(-1.0, 1.0, 0.0, 1.0, 5, 5, Point(-1.0, 0.0))
+    x = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(15).uniform(-1.0, 1.0, 40)])
+    y = np.array([[0.0], [0.5]])
+    zero = lambda: ex.Const(0.0)
+    for coef in np.eye(15) * 1e-12:
+        p_k = ex.Given(lambda x, y, c=coef: legendre.legval(x + 0.0 * y, c), zero, zero, "P_k")
+        Phi = ComplexField(ExprField(domain, p_k), ExprField(domain, ex.Const(0.0)))
+        got = op_A(Phi, AntiderivativeConfig(domain.base))(x[None, :], y) / 1e-12
+        exact = 2.0 * legendre.legval(x, legendre.legint(coef / 1e-12, lbnd=-1))
+        np.testing.assert_allclose(got, np.broadcast_to(exact, got.shape), rtol=0, atol=1e-14)
 
 
 def _nested(nx, ny, bases, seed="exp(0.6*x + 0.8*y)"):
@@ -457,41 +477,85 @@ def _nested_bases(draw):
 @given(case=_nested_bases())
 @settings(max_examples=30, deadline=None, derandomize=True)
 @example(case=(21, 21, [(0.37, 0.41), (0.0, 0.0)]))
+@example(case=(3, 3, [(0.0, 0.0), (5e-324, 0.0)]))
+@example(case=(5, 4, [(1.0, 0.3), (0.0, 1.0)]))
 def test_nested_mesh_matches_per_point_values(case):
-    """Nested leaves answer from the panels of the leaf that asks them, with
-    bases on or off its knots: the mesh sample equals each point's own L-path."""
+    """A nested leaf is asked at a tensor grid of the panel nodes of the leaf
+    above it.  With bases on or off the knots, on the rectangle's edge or
+    5e-324 off a knot, the mesh sample equals each point's own L-path."""
     nx, ny, bases = case
     assert _mesh_minus_per_point(_nested(nx, ny, bases)) <= 1e-12
 
 
-def test_cells_that_do_not_settle_at_shared_nodes_match_per_point_values():
-    """sin(40x + 30y) on cells a quarter to a third wide does not settle on one
-    panel.  Asked at the nodes of shared panels, on either axis, a leaf
-    integrates those cells and the integrals to their nodes adaptively: within
-    the settle tolerance of each point's own L-path.  So does a nested sample."""
+def test_tensor_grid_at_k15_nodes_of_unresolved_cells_matches_per_point_values():
+    """sin(40x + 30y) does not settle on one panel per cell a quarter to a third
+    wide.  Sampled at the K15 nodes of those cells, on either axis, as a tensor
+    grid, a leaf is within the settle tolerance of each point's own L-path, and
+    so is a nested sample."""
     domain = DomainSpec(0.0, 1.0, 0.0, 1.0, 5, 4, Point(0.0, 0.0))
     seed = "sin(40*x + 30*y)"
     leaf = op_A(d_z(ExprField(domain, seed)), AntiderivativeConfig(Point(0.37, 0.41)))
     xs, ys = domain.axes()
-    on_x, on_y = quadrature._Panels(xs[0], 0), quadrature._Panels(ys[:, 0], 1)
-    for x_panels, y_panels in ((on_x, None), (None, on_y)):
-        x = xs if x_panels is None else x_panels.nodes
-        y = ys if y_panels is None else y_panels.nodes
-        token = quadrature._SHARED.set((x_panels, y_panels))
-        try:
-            shared = leaf._values(x, y)
-        finally:
-            quadrature._SHARED.reset(token)
+
+    def nodes(knots):  # node k of cell c at [k, c]
+        return knots[:-1] + (_K15_NODES[:, None] + 1.0) / 2.0 * np.diff(knots)
+
+    for x, y in ((nodes(xs[0])[:, None, :], ys), (xs, nodes(ys[:, 0]).reshape(-1, 1))):
+        on_mesh = leaf(x, y)
         own = leaf(*np.broadcast_arrays(x, y))
         tol = quadrature.SEGMENT_REL_TOL * (np.max(np.abs(own)) + 1.0)
-        assert np.max(np.abs(shared - own)) <= tol
+        assert np.max(np.abs(on_mesh - own)) <= tol
     phi = _nested(5, 4, [(0.37, 0.41), (0.0, 0.0)], seed=seed)
     assert _mesh_minus_per_point(phi) <= quadrature.SEGMENT_REL_TOL * (max_abs(phi) + 1.0)
 
 
+@pytest.mark.parametrize("x", [0.0, 0.37, 1.0])
+def test_one_abscissa_and_a_column_of_ordinates_match_per_point_values(x):
+    """One abscissa against a column of ordinates is a tensor grid whose rows
+    have a single target, at the base, on the edge, or between them."""
+    phi = _nested(5, 7, [(0.37, 0.41), (0.0, 0.0)])
+    _, ys = phi.domain.axes()
+    on_mesh = phi(np.array([[x]]), ys)
+    assert np.max(np.abs(on_mesh - phi(np.full(ys.shape, x), ys))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [41, 401])
+def test_odd_integrand_on_every_dyadic_panel_is_resolved(n):
+    """sin(80 pi x) is odd about the midpoint of every dyadic panel of [0, 1], so
+    K15 and G7 are both 0 there and agree; only the Legendre tail of the panel's
+    interpolant shows that its partial integrals are wrong."""
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, n, 3, Point(0.0, 0.0))
+    phi = ExprField(domain, "-cos(80*pi*x)/(80*pi) + y")
+    A = op_A(d_z(phi), AntiderivativeConfig(domain.base))
+    xg, yg = domain.mesh()
+    exact = phi(xg, yg) - phi.evaluate(domain.base)
+    assert np.max(np.abs(A.sample() - exact)) <= 1e-12
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_mesh_value_does_not_depend_on_the_rows_and_columns_sampled_with_it(data):
+    """The rows of a mesh share one partition, certified for all of them.  A
+    sub-grid of rows and columns still gives the full sample's values there."""
+    nx, ny = data.draw(st.integers(3, 30)), data.draw(st.integers(3, 30))
+    a, b = data.draw(st.floats(1.0, 12.0)), data.draw(st.floats(0.5, 3.0))
+    base = Point(data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0)))
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, nx, ny, base)
+    phi = ExprField(domain, f"sin({a!r}*x*(1 + y))*cosh({b!r}*y) + x*cos({a!r}*y)")
+    A = op_A(d_z(phi), AntiderivativeConfig(base))
+    def subset(n):
+        least = data.draw(st.integers(0, n - 1))
+        return sorted(data.draw(st.sets(st.integers(least, n - 1), min_size=1)))
+
+    cols, rows = subset(nx), subset(ny)
+    xs, ys = domain.axes()
+    full = A.sample()
+    assert np.max(np.abs(A(xs[:, cols], ys[rows, :]) - full[np.ix_(rows, cols)])) <= 1e-12
+
+
 def test_non_finite_nested_integrand_raises(unit_square):
     """An inner leaf whose integrand is infinite raises while the outer leaf's
-    integrand, the inner leaf itself, is evaluated at the shared nodes."""
+    integrand, the inner leaf itself, is evaluated at the outer leaf's nodes."""
 
     def infinite(x, y):
         return np.full(np.broadcast(x, y).shape, np.inf)
@@ -518,5 +582,5 @@ def test_nested_integrand_points_grow_linearly_with_depth(monkeypatch):
         phi = _nested(41, 41, [(0.0, 0.0)] * depth)
         assert np.sum(phi.sample()) == pytest.approx(expected, rel=1e-12, abs=0)
         counts.append(sum(points))
-    assert counts[0] == 15 * (41 * 40 + 40)
+    assert counts[0] == 15 * (41 + 1)  # one panel for the rows, one for the base column
     assert counts[3] <= 8 * counts[0]
