@@ -11,15 +11,16 @@ by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
 SEGMENT_REL_TOL * (|K15| + 1), so their number follows the integrand, not the
 grid.  A point's value is the sum of the panel integrals from the base plus
 the partial integral in its own panel, the antiderivative of the panel's
-interpolant (through its values at -1 and the 15 nodes).  A leaf nested in the
-integrand is asked at a tensor grid of panel nodes and takes the same path.
-Any other points (contour nodes, dense arrays, single points) get one
-adaptive L-path each: embedded Gauss-Kronrod G7/K15 (QUADPACK's ``qk15``),
-settled on one panel when K15 and G7 agree, else on doubled panels when K15
-agrees with K15 on half as many.  Each point keeps the value of the first
-level at which it settled, so it does not depend on the other points of its
-batch.  A non-finite value, or a partition or point still uncertified at
-MAX_PANELS panels, raises QuadratureError.
+interpolant (through its values at -1 and the 15 nodes), written in place
+into the sample.  A leaf nested in the integrand is asked at a tensor grid of
+panel nodes and takes the same path.  Any other points (contour nodes, dense
+arrays, single points) get one adaptive L-path each: embedded Gauss-Kronrod
+G7/K15 (QUADPACK's ``qk15``), settled on one panel when K15 and G7 agree,
+else on doubled panels when K15 agrees with K15 on half as many.  Each point
+keeps the value of the first level at which it settled, so it does not
+depend on the other points of its batch; a batch of zero-length segments is
+zero without evaluating anything.  A non-finite value, or a partition or
+point still uncertified at MAX_PANELS panels, raises QuadratureError.
 """
 from __future__ import annotations
 
@@ -197,8 +198,11 @@ def adaptive_segment_integral(fn, a, b):
     panel, or later when K15 on p panels and on p/2 panels agree to the same
     bound, and keeps the K15 value of that level.  A non-finite estimate of a
     point not yet settled, or a point still unsettled at MAX_PANELS panels, raises
-    QuadratureError; no unconverged value is ever returned.
+    QuadratureError; no unconverged value is ever returned.  A batch whose every
+    segment has zero length is zero, and fn is not called.
     """
+    if np.all(np.equal(a, b)):
+        return np.zeros(np.broadcast(a, b).shape)
     k, g = _gauss_kronrod(fn, a, b, 1)
     _require_finite(k, g, panels=1)
     shape = np.shape(k)
@@ -380,8 +384,10 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     targets.  phi is evaluated once per round, at the nodes of the new panels
     only, chunked by rows.  A target's value is the sum of the panel integrals
     from start to its panel's left edge plus the partial integral from that
-    edge, the antiderivative of the panel's interpolant, from the node values
-    kept for the certified panels that hold targets.
+    edge, the antiderivative of the panel's interpolant: one matrix product
+    writes it into the panel's block of the output, from the node values kept
+    for the certified panels that hold targets, and the sum to the edge is
+    added to the block in place.
     """
     across = np.ravel(across)
     lo, hi = min(targets[0], start), max(targets[-1], start)
@@ -419,6 +425,7 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
         keep = ok[hold]
         at = hold[keep]
         held += zip(a[at], b[at], first[at], last[at], at_hold.transpose(1, 0, 2)[keep])
+        del v, at_hold  # only held keeps node values, of the certified panels
         a, b = a[~ok], b[~ok]
         if not a.size:
             break
@@ -435,11 +442,13 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     m = int(np.searchsorted(lefts, start))
     before, after = -np.cumsum(k[:, :m][:, ::-1], axis=1)[:, ::-1], np.cumsum(k[:, m:], axis=1)
     from_start = np.hstack([before, np.zeros((across.size, 1)), after])  # at each edge
-    out = np.repeat(from_start[:, -1:], targets.size, axis=1)  # targets on the last edge
+    out = np.empty((across.size, targets.size))
+    out[:, -1] = from_start[:, -1]  # the last target may sit on the last edge, in no panel
     for left, right, first, last, at_nodes in held:
         tau = 2.0 * ((targets[first:last] - left) / (right - left)) - 1.0
-        partial = (at_nodes @ _PARTIAL_COEFFICIENTS) @ (_chebyshev(tau).T * (right - left))
-        out[:, first:last] = from_start[:, np.searchsorted(lefts, left), None] + partial
+        block = out[:, first:last]
+        np.matmul(at_nodes @ _PARTIAL_COEFFICIENTS, _chebyshev(tau).T * (right - left), out=block)
+        block += from_start[:, np.searchsorted(lefts, left), None]
     return out
 
 
@@ -448,9 +457,13 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
 
     On a tensor grid the rows, one per distinct ordinate, are integrated on one
     certified partition of the abscissae, and the base column on one of the
-    ordinates (``_along``).  A leaf nested in the integrand is asked at a
-    tensor grid of panel nodes and rows, and takes the same path.  Any other
-    batch integrates a whole L-path per point.  The leaf keeps its values at the
+    ordinates (``_along``).  A sorted, distinct row of abscissae against a
+    sorted, distinct column of ordinates, as ``Field.sample`` passes them, is
+    the shape of the rows' integrals, so the rest of the formula is applied to
+    them in place; any other tensor grid, such as the panel nodes at which a
+    leaf nested in the integrand is asked, gathers from the integrals at its
+    distinct coordinates, with the same operations.  Any other batch
+    integrates a whole L-path per point.  The leaf keeps its values at the
     latest _KEPT point sets, so the trees that hold it, sampled one after another
     on one mesh, share one quadrature, and so do the levels that nest it.
     """
@@ -460,13 +473,24 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     kept = {}  # points -> values, oldest first
 
     def on_mesh(x, y):
-        xs, xi = np.unique(x, return_inverse=True)
-        ys, yi = np.unique(y, return_inverse=True)
-        xi, yi = xi.reshape(x.shape), yi.reshape(y.shape)
         d = Phi.domain
+        xs, ys = np.ravel(x), np.ravel(y)
+        row, column = x.shape == (1, xs.size), y.shape == (ys.size, 1)
+        in_place = row and column and all(np.all(v[1:] > v[:-1]) for v in (xs, ys))
+        if not in_place:  # the integrals at the distinct coordinates, then a gather
+            xs, xi = np.unique(x, return_inverse=True)
+            ys, yi = np.unique(y, return_inverse=True)
         i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, xs, ys)
         i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, ys, x0)[0]
-        return 2.0 * (i1[yi, xi] + sign * i2[yi]) + c
+        if in_place:
+            i2 = i2[:, None]
+        else:
+            yi = yi.reshape(y.shape)
+            i1, i2 = i1[yi, xi.reshape(x.shape)], i2[yi]
+        i1 += sign * i2
+        i1 *= 2.0
+        i1 += c
+        return i1
 
     def per_point(x, y):
         x, y = np.broadcast_arrays(x, y)
