@@ -3,24 +3,18 @@
 The antiderivative operators integrate along the canonical L-path (vertical
 segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
-built around.  A mesh sample (abscissae and ordinates along different axes,
-as ``Field.sample`` passes them) integrates all rows on one partition of the
-rectangle's side, and the base column on another.  Panels are bisected from
-[side start, base] and [base, side end] until each is certified for every row
+built around.  Every segment integral is one rule, ``_along``: panels are
+bisected from [side start, base] and [base, side end] until each is certified
 by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
-SEGMENT_REL_TOL * (|K15| + 1), so their number follows the integrand, not the
-grid.  A point's value is the sum of the panel integrals from the base plus
-the partial integral in its own panel, the antiderivative of the panel's
-interpolant (through its values at -1 and the 15 nodes), written in place
-into the sample.  A leaf nested in the integrand is asked at a tensor grid of
-panel nodes and takes the same path.  Any other points (contour nodes, dense
-arrays, single points) get one adaptive L-path each: embedded Gauss-Kronrod
-G7/K15 (QUADPACK's ``qk15``), settled on one panel when K15 and G7 agree,
-else on doubled panels when K15 agrees with K15 on half as many.  Each point
-keeps the value of the first level at which it settled, so it does not
-depend on the other points of its batch; a batch of zero-length segments is
-zero without evaluating anything.  A non-finite value, or a partition or
-point still uncertified at MAX_PANELS panels, raises QuadratureError.
+SEGMENT_REL_TOL * (|K15| + 1), and a target's value is the sum of the panel
+integrals from the base plus the partial integral in its own panel, the
+antiderivative of the panel's interpolant.  A mesh sample certifies each panel
+for all its rows at once; any other batch (contour nodes, dense arrays, single
+points) certifies each point's panels for that point alone, on panels and nodes
+that the batch shares, so that a point's value does not depend on its batch.
+Either way the integrand is asked at a tensor grid of panel nodes, and a leaf
+nested in it takes the same path.  A non-finite value, or a point still
+uncertified at MAX_PANELS panels, raises QuadratureError.
 """
 from __future__ import annotations
 
@@ -40,9 +34,8 @@ from .errors import (
 )
 from .field import DomainSpec, Field, Point, max_abs
 
-# QUADPACK qk15 on [-1, 1], each panel's 7 Gauss nodes first: _G7_WEIGHTS on
-# _K15_NODES[:7] is 7-point Gauss-Legendre (exact to degree 13), and
-# _K15_WEIGHTS on all 15 nodes is its Kronrod extension (exact to degree 23)
+# Gauss-Kronrod K15 on [-1, 1] (QUADPACK's qk15, exact to degree 22), with the
+# nodes of its embedded 7-point Gauss rule first
 _K15_NODES = np.array([
     -0.949107912342758524526189684047851, -0.741531185599394439863864773280788,
     -0.405845151377397166906606412076961, 0.0,
@@ -62,12 +55,6 @@ _K15_WEIGHTS = np.array([
     0.169004726639267902826583426598550, 0.204432940075298892414161999234649,
     0.204432940075298892414161999234649, 0.169004726639267902826583426598550,
     0.104790010322250183839876322541518, 0.022935322010529224963732008058970,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
 ])
 
 # the nodes of one K15 panel of [a, b] sit at a + _K15_T * (b - a)
@@ -100,6 +87,14 @@ def _chebyshev(tau: np.ndarray) -> np.ndarray:
     return np.cos(np.arccos(tau)[:, None] * np.arange(16.0))
 
 
+def _clenshaw(tau: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] T_k(tau), elementwise, by Clenshaw's recurrence."""
+    c0, c1, tau2 = c[-2], c[-1], 2.0 * tau
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * tau2
+    return c0 + c1 * tau
+
+
 # a panel's partial integral, the degree-15 antiderivative of its interpolant,
 # is known at -1 (zero) and at the 15 nodes; a row of node values times this
 # (15, 16) matrix gives its Chebyshev coefficients, so its value anywhere
@@ -129,102 +124,6 @@ class AntiderivativeConfig:
     def __post_init__(self):
         if self.compat_tol <= 0:
             raise ParameterError("compat_tol must be positive")
-
-
-def _weighted_nodes(fn, a, b, t, *weights):
-    """Yields fn at the nodes a + t * (b - a), t in [0, 1], in chunks of at most
-    ``_MAX_BATCH`` points, each with the chunk's part of every weight vector
-    shaped to multiply it.
-
-    ``a`` and ``b`` broadcast against each other; ``fn`` receives an array of
-    shape (nodes,) + broadcast-shape and must broadcast accordingly.
-    """
-    shape = np.broadcast(a, b).shape
-    expand = (slice(None),) + (None,) * len(shape)
-    step = max(1, _MAX_BATCH // max(1, math.prod(shape)))
-    for lo in range(0, len(t), step):
-        s = a[None, ...] + t[lo : lo + step][expand] * (b - a)[None, ...]
-        vals = np.broadcast_to(np.asarray(fn(s)), s.shape)
-        yield (vals, *(w[lo : lo + step][expand] for w in weights))
-
-
-def _fold(terms, total):
-    """Sum of ``terms`` over the node axis, added node by node onto ``total``.
-
-    numpy adds a batch's node axis row by row but sums a single point's nodes
-    pairwise; a cumulative sum adds those in node order too.
-    """
-    if total is not None:
-        terms[0] += total
-    if terms[0].size == 1:
-        return np.cumsum(terms, axis=0)[-1]
-    return np.sum(terms, axis=0)
-
-
-def _gauss_kronrod(fn, a, b, panels: int):
-    """Composite K15 for int_a^b fn(s) ds on ``panels`` equal panels, with array
-    bounds as in ``_weighted_nodes``, and on one panel also G7 from the same
-    node values (else None).
-
-    Every sum adds its nodes in order across the chunks, so neither the
-    chunking nor the other points of the batch change a point's sums.
-    """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    t = ((np.arange(panels)[:, None] + _K15_T[None, :]) / panels).reshape(-1)
-    w = np.tile(_K15_WEIGHTS / (2.0 * panels), panels)
-    w_gauss = _G7_WEIGHTS / 2.0 if panels == 1 else np.empty(0)
-    k = g = None
-    for vals, wk, wg in _weighted_nodes(fn, a, b, t, w, w_gauss):
-        # the Gauss nodes lead each panel, so G7 reads the first rows in place;
-        # its terms are freed before the K15 terms are built
-        if len(wg):
-            g = _fold(wg * vals[: len(wg)], g)
-        k = _fold(wk * vals, k)
-    return (b - a) * k, None if g is None else (b - a) * g
-
-
-def _require_finite(*estimates, panels: int) -> None:
-    """Refining cannot make a non-finite estimate finite, so it fails at once
-    (and before any difference of estimates is taken)."""
-    if not all(np.all(np.isfinite(e)) for e in estimates):
-        raise QuadratureError(f"segment quadrature gave a non-finite value at {panels} panels")
-
-
-def adaptive_segment_integral(fn, a, b):
-    """Integrate with G7/K15 panels, doubling them until every point settles.
-
-    A point settles when |K15 - G7| <= SEGMENT_REL_TOL * (|K15| + 1) on one
-    panel, or later when K15 on p panels and on p/2 panels agree to the same
-    bound, and keeps the K15 value of that level.  A non-finite estimate of a
-    point not yet settled, or a point still unsettled at MAX_PANELS panels, raises
-    QuadratureError; no unconverged value is ever returned.  A batch whose every
-    segment has zero length is zero, and fn is not called.
-    """
-    if np.all(np.equal(a, b)):
-        return np.zeros(np.broadcast(a, b).shape)
-    k, g = _gauss_kronrod(fn, a, b, 1)
-    _require_finite(k, g, panels=1)
-    shape = np.shape(k)
-    value = np.ravel(k)
-    change = np.ravel(np.abs(k - g))
-    open_ = np.flatnonzero(change > SEGMENT_REL_TOL * (np.abs(value) + 1.0))
-    change = change[open_]
-    panels = 1
-    while open_.size:
-        if panels >= MAX_PANELS:
-            raise QuadratureError(
-                f"segment quadrature did not converge within {panels} panels: largest "
-                f"change {float(np.max(change)):.3e} at relative tolerance {SEGMENT_REL_TOL:g}"
-            )
-        panels *= 2
-        k = np.ravel(_gauss_kronrod(fn, a, b, panels)[0])[open_]
-        _require_finite(k, panels=panels)
-        change = np.abs(k - value[open_])
-        value[open_] = k
-        unsettled = change > SEGMENT_REL_TOL * (np.abs(k) + 1.0)
-        open_, change = open_[unsettled], change[unsettled]
-    return value.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +204,14 @@ def line_integral_dz(g: Field, gamma: Contour) -> complex:
         dz = 1j * gamma.radius * np.exp(1j * t)
         vals = g(zx, zy) * dz
         return complex(2.0 * np.pi / n * np.sum(vals))
+    n = gamma.n_per_segment
+    t = ((np.arange(n)[:, None] + _K15_T) / n).reshape(-1)
+    w = np.tile(_K15_WEIGHTS / (2.0 * n), n)
     total = 0.0 + 0.0j
     for p, q in zip(gamma.vertices[:-1], gamma.vertices[1:]):
         dzx, dzy = q.x - p.x, q.y - p.y
-
-        def integrand(s, p=p, dzx=dzx, dzy=dzy):
-            return g(p.x + s * dzx, p.y + s * dzy)
-
-        val = _gauss_kronrod(integrand, 0.0, 1.0, gamma.n_per_segment)[0]
-        total += complex(val) * complex(dzx, dzy)
-    return total
-
-
-def integrate_1form(p_field: Field, q_field: Field, gamma: Contour) -> float:
-    """Integral of P dx + Q dy along a polyline contour (adaptive per segment)."""
-    if gamma.kind != "polyline":
-        raise ContourError("integrate_1form expects a polyline contour")
-    total = 0.0
-    for p, q in zip(gamma.vertices[:-1], gamma.vertices[1:]):
-        dzx, dzy = q.x - p.x, q.y - p.y
-
-        def integrand(s, p=p, dzx=dzx, dzy=dzy):
-            return p_field(p.x + s * dzx, p.y + s * dzy) * dzx + q_field(
-                p.x + s * dzx, p.y + s * dzy
-            ) * dzy
-
-        total += float(adaptive_segment_integral(integrand, 0.0, 1.0))
+        vals = np.broadcast_to(g(p.x + t * dzx, p.y + t * dzy), t.shape)
+        total += complex(np.cumsum(w * vals)[-1]) * complex(dzx, dzy)  # in node order
     return total
 
 
@@ -370,78 +251,115 @@ def _integrand(phi: Field, x, y) -> np.ndarray:
     return phi._values(x, y)
 
 
-def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray, across):
-    """Integrals of phi along ``axis`` from ``start`` to each of the sorted distinct
-    ``targets``, one row per coordinate of ``across`` (ordinates for axis 0,
-    abscissae for axis 1): an array of shape (across.size, targets.size).
+def _panel_values(phi: Field, axis: int, a: np.ndarray, b: np.ndarray, across: np.ndarray):
+    """phi at the K15 nodes of the panels [a, b] on each line of ``across``, shaped
+    (lines, panels, 15): a tensor grid, in chunks of at most _MAX_BATCH points."""
+    nodes = (a[:, None] + _K15_T * (b - a)[:, None]).reshape(1, -1)
+    step = max(1, _MAX_BATCH // nodes.size)
+    chunks = (across[line : line + step, None] for line in range(0, across.size, step))
+    v = [_integrand(phi, nodes, o) if axis == 0 else _integrand(phi, o, nodes) for o in chunks]
+    return (v[0] if len(v) == 1 else np.concatenate(v)).reshape(across.size, a.size, 15)
 
-    One partition serves every row.  It starts from the panels between the ends
-    of the rectangle's ``side`` and ``start`` and bisects every panel that is
-    not certified: for every row, the Legendre coefficients 13 and 14 of the
-    interpolant on its K15 nodes satisfy (|c13| + |c14|) * h <= SEGMENT_REL_TOL *
-    (|K15| + 1).  Only panels that meet the span of the targets and start are
-    kept, so the panel that holds a target does not depend on the other
-    targets.  phi is evaluated once per round, at the nodes of the new panels
-    only, chunked by rows.  A target's value is the sum of the panel integrals
-    from start to its panel's left edge plus the partial integral from that
-    edge, the antiderivative of the panel's interpolant: one matrix product
-    writes it into the panel's block of the output, from the node values kept
-    for the certified panels that hold targets, and the sum to the edge is
-    added to the block in place.
+
+def _certify(sums: np.ndarray, h: np.ndarray):
+    """Each panel's K15 integral, from its node sums [K15 / h, c13, c14] along the
+    first axis, and whether the Legendre tail of its interpolant is small enough
+    to trust its partial integrals: (|c13| + |c14|) * h <= SEGMENT_REL_TOL * (|K15| + 1)."""
+    k = sums[0] * h
+    tail = (np.abs(sums[1]) + np.abs(sums[2])) * h
+    return k, tail <= SEGMENT_REL_TOL * (np.abs(k) + 1.0)
+
+
+def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray, across):
+    """Integrals of phi along ``axis`` from ``start``, one row per coordinate of
+    ``across`` (ordinates for axis 0, abscissae for axis 1).  ``targets`` is a
+    1-D array of sorted distinct targets that every row shares, giving an array
+    of shape (rows, targets), or a column of one target per row.
+
+    A row takes, from the root panels down, the first certified panel that
+    meets the span of its targets and start; shared targets certify a panel
+    for every row at once, so all rows take one partition.  Each round
+    evaluates phi once, at the nodes of the panels that some row needs, on each
+    distinct line that needs them.  A target's value is the sum of its row's
+    panels from start, outward, to the edge of its panel, plus the partial
+    integral from that edge: by one matrix product per panel for shared
+    targets, and for a target of its own through ``np.einsum`` and Clenshaw's
+    recurrence, whose bits depend on that row alone, in chunks of rows.  A
+    target on a panel's edge is that edge's sum.
     """
     across = np.ravel(across)
-    lo, hi = min(targets[0], start), max(targets[-1], start)
-    edges = np.array(sorted({min(lo, side[0]), start, max(hi, side[1])}))
+    each, step = targets.ndim == 2, _MAX_BATCH // (15 * 16)  # rows on 16 panels each
+    if each and across.size > step:
+        rows = (slice(row, row + step) for row in range(0, across.size, step))
+        return np.concatenate([_along(phi, axis, side, start, targets[c], across[c]) for c in rows])
+    t = targets if each else targets[None, :]
+    lo, hi = np.minimum(t[:, :1], start), np.maximum(t[:, -1:], start)
+    if each:  # each distinct line once
+        lines, line_of = np.unique(across, return_inverse=True)
+    ends = {min(lo.min(), side[0]), start, max(hi.max(), side[1])}
+    edges = np.array(sorted(ends))
     a, b = edges[:-1], edges[1:]  # the panels of this round
-    done_a, done_k = [np.empty(0)], [np.empty((across.size, 0))]
-    held = []  # (left, right, its targets first:last, node values) of certified panels
+    need = (b > lo) & (a < hi)  # by each row, or by all rows together
+    taken, partial = np.zeros(len(need), dtype=int), np.zeros(t.shape)
+    done_a, done_k, held = [np.empty(0)], [np.empty((across.size, 0))], []
     while True:
-        span = (b > lo) & (a < hi)
-        a, b = a[span], b[span]
+        kept = need.any(axis=0)
+        a, b, need = a[kept], b[kept], need[:, kept]
         if not a.size:
             break
         h = b - a
-        nodes = (a[:, None] + _K15_T * h[:, None]).reshape(1, -1)
-        first, last = np.searchsorted(targets, a), np.searchsorted(targets, b)
-        hold = np.flatnonzero(last > first)  # the panels with targets in [a, b)
-        k, ok = np.empty((across.size, a.size)), np.ones(a.size, dtype=bool)
-        at_hold = np.empty((across.size, hold.size, 15))
-        step = max(1, _MAX_BATCH // nodes.size)
-        for row in range(0, across.size, step):
-            rows, o = slice(row, row + step), across[row : row + step, None]
-            v = _integrand(phi, nodes, o) if axis == 0 else _integrand(phi, o, nodes)
-            if not np.all(np.isfinite(v)):
-                raise QuadratureError(
-                    f"segment quadrature gave a non-finite value at {a.size} panels"
-                )
-            v = v.reshape(len(o), a.size, 15)
-            sums = v @ _PANEL_SUMS  # (row, panel, [K15 / h, c13, c14])
-            k[rows] = sums[..., 0] * h
-            tail = np.abs(sums[..., 1:]).sum(axis=-1) * h
-            ok &= np.all(tail <= SEGMENT_REL_TOL * (np.abs(k[rows]) + 1.0), axis=0)
-            at_hold[rows] = v[:, hold]
-        done_a.append(a[ok])
-        done_k.append(k[:, ok])
-        keep = ok[hold]
-        at = hold[keep]
-        held += zip(a[at], b[at], first[at], last[at], at_hold.transpose(1, 0, 2)[keep])
-        del v, at_hold  # only held keeps node values, of the certified panels
-        a, b = a[~ok], b[~ok]
-        if not a.size:
+        if each:  # the lines that some row needs
+            live = np.zeros(lines.size, dtype=bool)
+            live[line_of[need.any(axis=1)]] = True
+            v, in_v = _panel_values(phi, axis, a, b, lines[live]), (np.cumsum(live) - 1)[line_of]
+        else:
+            v, in_v = _panel_values(phi, axis, a, b, across), slice(None)
+        if not np.isfinite(v).all():
+            bad = (need & ~np.isfinite(v).all(axis=-1)[in_v]).any(axis=1)
+            if bad.any():
+                n = need[bad.argmax() if each else 0].sum()
+                raise QuadratureError(f"segment quadrature gave a non-finite value at {n} panels")
+        if each:
+            k, ok = _certify(np.einsum("lpj,cj->clp", v, _PANEL_SUMS.T.copy()), h)
+            k, ok = k[in_v], ok[in_v] & need
+            r, p = (ok & (a < t) & (t < b)).nonzero()  # the panel that holds t off its edges
+            tau = 2.0 * ((t[r, 0] - a[p]) / h[p]) - 1.0
+            coefficients = np.einsum("kj,rj->kr", _PARTIAL_COEFFICIENTS.T.copy(), v[in_v[r], p])
+            partial[r, 0] = _clenshaw(tau, coefficients) * h[p]
+            k = np.where(ok & ((b <= t) | (t < start)), k, 0.0)  # its whole panels
+        else:
+            k, ok = _certify((v @ _PANEL_SUMS).transpose(2, 0, 1), h)
+            ok = ok.all(axis=0, keepdims=True) & need
+            first, last = np.searchsorted(targets, a), np.searchsorted(targets, b)
+            at = np.flatnonzero(ok[0] & (last > first))  # certified, with targets in [a, b)
+            at_nodes = np.take(v, at, axis=1).transpose(1, 0, 2)  # node values, copied once
+            held += zip(a[at], b[at], first[at], last[at], at_nodes)
+        del v
+        cols = ok.any(axis=0)
+        done_a.append(a[cols])
+        done_k.append(k[:, cols])
+        open_ = need & ~ok
+        split = open_.any(axis=0)
+        if not split.any():
             break
-        if sum(map(len, done_a)) + 2 * a.size > MAX_PANELS:
-            raise QuadratureError(
-                f"segment quadrature did not converge within {MAX_PANELS} panels: {a.size} "
-                f"panels not certified at relative tolerance {SEGMENT_REL_TOL:g}"
-            )
+        taken += ok.sum(axis=1)
+        over = taken + 2 * open_.sum(axis=1) > MAX_PANELS
+        if over.any():
+            n, tol = open_[over.argmax()].sum(), SEGMENT_REL_TOL
+            raise QuadratureError(f"segment quadrature did not converge within {MAX_PANELS} "
+                                  f"panels: {n} panels not certified at relative tolerance {tol:g}")
+        a, b, open_ = a[split], b[split], open_[:, split]
         mid = a + (b - a) / 2.0
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        need = np.hstack([open_, open_]) & (b > lo) & (a < hi)
     lefts = np.concatenate(done_a)
-    order = np.argsort(lefts)
+    order = np.argsort(lefts, kind="stable")
     lefts, k = lefts[order], np.concatenate(done_k, axis=1)[:, order]
     m = int(np.searchsorted(lefts, start))
     before, after = -np.cumsum(k[:, :m][:, ::-1], axis=1)[:, ::-1], np.cumsum(k[:, m:], axis=1)
     from_start = np.hstack([before, np.zeros((across.size, 1)), after])  # at each edge
+    if each:  # all of a row's whole panels lie on one side of start
+        return np.where(t < start, from_start[:, :1], from_start[:, -1:]) + partial
     out = np.empty((across.size, targets.size))
     out[:, -1] = from_start[:, -1]  # the last target may sit on the last edge, in no panel
     for left, right, first, last, at_nodes in held:
@@ -455,25 +373,21 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
 def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c.
 
-    On a tensor grid the rows, one per distinct ordinate, are integrated on one
-    certified partition of the abscissae, and the base column on one of the
-    ordinates (``_along``).  A sorted, distinct row of abscissae against a
-    sorted, distinct column of ordinates, as ``Field.sample`` passes them, is
-    the shape of the rows' integrals, so the rest of the formula is applied to
-    them in place; any other tensor grid, such as the panel nodes at which a
-    leaf nested in the integrand is asked, gathers from the integrals at its
-    distinct coordinates, with the same operations.  Any other batch
-    integrates a whole L-path per point.  The leaf keeps its values at the
-    latest _KEPT point sets, so the trees that hold it, sampled one after another
-    on one mesh, share one quadrature, and so do the levels that nest it.
+    On a tensor grid the rows share the targets (``_along``); a sorted, distinct
+    row of abscissae against a sorted, distinct column of ordinates, as
+    ``Field.sample`` passes them, takes the rest of the formula in place, and
+    any other tensor grid gathers from the integrals at its distinct
+    coordinates.  Any other batch takes one row per distinct point.  The leaf
+    keeps its values at the latest _KEPT point sets, so the trees that hold it,
+    sampled one after another on one mesh, share one quadrature, and so do the
+    levels that nest it.
     """
-    phi1, phi2 = Phi.re, Phi.im
+    phi1, phi2, d = Phi.re, Phi.im, Phi.domain
     x0, y0 = cfg.base.x, cfg.base.y
     c = cfg.constant_c
     kept = {}  # points -> values, oldest first
 
     def on_mesh(x, y):
-        d = Phi.domain
         xs, ys = np.ravel(x), np.ravel(y)
         row, column = x.shape == (1, xs.size), y.shape == (ys.size, 1)
         in_place = row and column and all(np.all(v[1:] > v[:-1]) for v in (xs, ys))
@@ -492,13 +406,16 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
         i1 += c
         return i1
 
-    def per_point(x, y):
+    def at_points(x, y):
         x, y = np.broadcast_arrays(x, y)
-        i1 = adaptive_segment_integral(
-            lambda s: _integrand(phi1, s, np.broadcast_to(y, s.shape)), np.full_like(x, x0), x
-        )
-        i2 = adaptive_segment_integral(lambda s: _integrand(phi2, np.full_like(s, x0), s), y0, y)
-        return 2.0 * (i1 + sign * i2) + c
+        if np.all((x == x0) & (y == y0)):  # both segments have zero length
+            return np.full(x.shape, c)
+        # one row per distinct point, sorted by ordinate, then abscissa
+        points, back = np.unique((y + 1j * x).ravel(), return_inverse=True)
+        column, row = np.unique(points.real, return_inverse=True)
+        i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, points.imag[:, None], points.real)
+        i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, column[:, None], np.full(column.size, x0))
+        return (2.0 * (i1 + sign * i2[row]) + c)[back].reshape(x.shape)
 
     def value(x, y):
         x = np.asarray(x, float)
@@ -506,7 +423,7 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
         points = (x.shape, y.shape, x.tobytes(), y.tobytes())
         values = kept.pop(points, None)
         if values is None:
-            values = np.asarray(on_mesh(x, y) if _tensor_grid(x, y) else per_point(x, y))
+            values = np.asarray(on_mesh(x, y) if _tensor_grid(x, y) else at_points(x, y))
             values.setflags(write=False)
         kept[points] = values
         if len(kept) > _KEPT:
@@ -547,22 +464,3 @@ def op_A(Phi: Field, cfg: AntiderivativeConfig) -> Field:
     """
     _require_compatible(Phi, "casirot_plus", cfg.compat_tol)
     return _antiderivative(Phi, cfg, -1.0, "op_A")
-
-
-def antiderivative_along(
-    Phi: Field, gamma: Contour, cfg: AntiderivativeConfig, which: str = "casirot"
-) -> float:
-    """Antiderivative value at the end of an explicit polyline path from the base.
-
-    Used to confirm path independence of the L-path reconstruction.  The path
-    must start at cfg.base; ``which`` picks the 1-form (+Phi2 dy for the
-    d_zbar antiderivative, -Phi2 dy for the d_z one).
-    """
-    if gamma.kind != "polyline":
-        raise ContourError("explicit antiderivative paths must be polylines")
-    start = gamma.vertices[0]
-    if abs(start.x - cfg.base.x) > 1e-12 or abs(start.y - cfg.base.y) > 1e-12:
-        raise ContourError("path must start at the configured base point")
-    _require_compatible(Phi, which, cfg.compat_tol)
-    sign = 1.0 if which == "casirot" else -1.0
-    return 2.0 * integrate_1form(Phi.re, sign * Phi.im, gamma) + cfg.constant_c

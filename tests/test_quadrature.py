@@ -28,13 +28,7 @@ from riccati2d import (
 from riccati2d import expressions as ex
 from riccati2d import quadrature
 from riccati2d.cli import parse_config, run
-from riccati2d.quadrature import (
-    _G7_WEIGHTS,
-    _K15_NODES,
-    _K15_WEIGHTS,
-    adaptive_segment_integral,
-    antiderivative_along,
-)
+from riccati2d.quadrature import _K15_NODES, _K15_WEIGHTS
 
 
 def z_conj(domain):
@@ -114,17 +108,13 @@ def test_trapezoid_doubling_converges(centered_square):
         assert coarse / max(fine, 1e-16) > 4.0
 
 
-def test_adaptive_segment_integral_vs_scipy():
-    fn = lambda s: np.exp(-(s**2)) * np.cos(3 * s)
-    got = adaptive_segment_integral(fn, 0.0, np.asarray([2.5]))
+def test_point_value_vs_scipy():
+    """op_A of Phi = (g(x), 0) at one point is 2 int_0^x g."""
+    domain = DomainSpec(0.0, 3.0, 0.0, 1.0, 5, 5, Point(0.0, 0.0))
+    Phi = ComplexField(ExprField(domain, "exp(-x**2)*cos(3*x)"), ExprField(domain, ex.ZERO))
+    got = op_A(Phi, AntiderivativeConfig(domain.base)).evaluate(Point(2.5, 0.3))
     want, _ = integrate.quad(lambda s: math.exp(-(s**2)) * math.cos(3 * s), 0.0, 2.5)
-    assert got[0] == pytest.approx(want, abs=1e-12)
-
-
-def test_g7_is_seven_point_gauss_legendre_on_the_leading_k15_nodes():
-    nodes, weights = np.polynomial.legendre.leggauss(7)
-    np.testing.assert_allclose(_K15_NODES[:7], nodes, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(_G7_WEIGHTS, weights, rtol=0, atol=1e-15)
+    assert got == pytest.approx(2.0 * want, abs=1e-12)
 
 
 def test_k15_is_exact_to_degree_22():
@@ -135,29 +125,46 @@ def test_k15_is_exact_to_degree_22():
         assert np.sum(_K15_WEIGHTS * _K15_NODES**k) == pytest.approx(exact, rel=0, abs=1e-14)
 
 
-def test_non_finite_estimate_raises_at_the_first_level():
-    """One level of nodes, and no inf - inf is taken (numpy's RuntimeWarning is an
+def _leaf_of(fn, domain, base=Point(0.0, 0.0)):
+    """op_A of Phi = (fn(x, y), 0): a Given leaf with zero partials passes the
+    compatibility check without being evaluated."""
+    zero = lambda: ex.Const(0.0)
+    Phi = ComplexField(ExprField(domain, ex.Given(fn, zero, zero, "g")), ExprField(domain, ex.ZERO))
+    return op_A(Phi, AntiderivativeConfig(base))
+
+
+def test_non_finite_estimate_raises_at_the_first_level(unit_square, monkeypatch):
+    """One round of nodes, and no inf - inf is taken (numpy's RuntimeWarning is an
     error in this suite)."""
-    sizes = []
-
-    def fn(s):
-        sizes.append(s.size)
-        return np.where(s > 0.5, np.inf, 1.0)
-
+    leaf = _leaf_of(lambda x, y: np.where(x + 0.0 * y > 0.5, np.inf, 1.0), unit_square)
+    points = _count_integrand(monkeypatch)
     with pytest.raises(QuadratureError, match="non-finite value at 1 panels"):
-        adaptive_segment_integral(fn, 0.0, np.ones(3))
-    assert sizes == [15 * 3]
+        leaf(np.ones(3), np.array([0.2, 0.5, 0.7]))
+    assert points == [15 * 3]
 
 
-def test_settled_points_leave_the_failure_unchanged():
-    """A point that settles at once neither hides nor alters the failure of one
-    that never settles: the message names the largest change among the unsettled."""
-    fn = lambda s: np.sin(1e7 * s)
-    with pytest.raises(QuadratureError, match="16384 panels: largest change") as alone:
-        adaptive_segment_integral(fn, 0.0, 1.0)
+def test_settled_points_leave_the_failure_unchanged(unit_square):
+    """A point that settles neither hides nor alters the failure of one that
+    never settles: the panel cap counts each point's own panels, so the message
+    is the one the failing point gives alone."""
+    leaf = _leaf_of(lambda x, y: np.sin(1e7 * x) + 0.0 * y, unit_square)
+    with pytest.raises(QuadratureError, match="within 16384 panels") as alone:
+        leaf.evaluate(Point(1.0, 0.5))
     with pytest.raises(QuadratureError) as batch:
-        adaptive_segment_integral(fn, 0.0, np.array([1e-9, 1.0]))
+        leaf(np.array([1e-9, 1.0, 0.0]), np.array([0.5, 0.5, 0.25]))
     assert str(batch.value) == str(alone.value)
+
+
+def test_rows_that_took_their_panels_ignore_values_they_do_not_need(unit_square):
+    """With the base at x = 0.5, a point right of it needs no panel left of it.
+    An infinite integrand there, on its line, is evaluated (the batch's other
+    point needs that panel on its own line) but raises nothing and warns
+    nothing, and the value is the one the point has alone."""
+    fn = lambda x, y: np.where((x < 0.5) & (y > 0.5), np.inf, np.cos(3.0 * x + y))
+    leaf = _leaf_of(fn, unit_square, Point(0.5, 0.0))
+    alone = leaf.evaluate(Point(0.8, 0.9))
+    assert leaf(np.array([0.8, 0.1]), np.array([0.9, 0.1]))[0] == alone
+    assert alone == pytest.approx(2.0 * (math.sin(3.3) - math.sin(2.4)) / 3.0, abs=1e-12)
 
 
 def test_compatibility_check_pass_and_fail(unit_square):
@@ -217,31 +224,45 @@ def test_constant_c_offsets_result(unit_square):
     assert phi.evaluate(Point(0.0, 0.0)) == pytest.approx(3.5, abs=1e-12)
 
 
+def test_a_point_takes_its_own_panels(unit_square, monkeypatch):
+    """cos((1 + 40y) x) is smooth on the line y = 0 and oscillates on y = 1.  Beside
+    a point on y = 1, a point on y = 0 keeps the one panel certified for it, bit
+    for bit, and its line is not evaluated again: the batch takes the points of
+    the two points alone."""
+    leaf = _leaf_of(lambda x, y: np.cos((1.0 + 40.0 * y) * x), unit_square)
+    points = _count_integrand(monkeypatch)
+    smooth, smooth_points = leaf.evaluate(Point(0.9, 0.0)), sum(points)
+    points.clear()
+    leaf.evaluate(Point(0.9, 1.0))
+    alone = smooth_points + sum(points)
+    points.clear()
+    assert leaf(np.array([0.9, 0.9]), np.array([0.0, 1.0]))[0] == smooth
+    assert smooth_points == 15 and sum(points) == alone
+    assert smooth == pytest.approx(2.0 * math.sin(0.9), abs=1e-14)
+
+
 def test_path_independence(unit_square):
-    """Explicit polyline paths reproduce the L-path value for compatible forms."""
-    cfg = AntiderivativeConfig(unit_square.base)
+    """Explicit polyline paths reproduce the L-path values for compatible forms:
+    op_Abar[Phi] = 2 Re int conj(Phi) dz + c and op_A[Phi] = 2 Re int Phi dz + c
+    along any path from the base."""
+    cfg = AntiderivativeConfig(unit_square.base, constant_c=0.5)
     envelope = ex.Exp(ex.Const(1.6) * ex.X + ex.Const(0.8) * ex.Y)
     Phi = ComplexField(
         ExprField(unit_square, ex.Const(-0.4) * envelope),
         ExprField(unit_square, ex.Const(-0.2) * envelope),
     )
-    phi = op_Abar(Phi, cfg)
+    d_z_phi = d_z(ExprField(unit_square, "exp(1.6*x + 0.8*y)*cos(x - 2*y)"))
     end = (0.9, 0.7)
-    for waypoints in (
-        [(0, 0), end],
-        [(0, 0), (0.9, 0.0), end],
-        [(0, 0), (0.2, 0.65), (0.5, 0.1), end],
-    ):
-        path = Contour.polyline(waypoints, n_per_segment=64)
-        got = antiderivative_along(Phi, path, cfg)
-        assert got == pytest.approx(phi(np.array(end[0]), np.array(end[1])), abs=1e-9)
-
-
-def test_antiderivative_along_rejects_wrong_start(unit_square):
-    cfg = AntiderivativeConfig(unit_square.base)
-    Phi = constant_field(0.5j, unit_square)
-    with pytest.raises(ContourError):
-        antiderivative_along(Phi, Contour.polyline([(0.5, 0.5), (1, 1)]), cfg)
+    for leaf, form in ((op_Abar(Phi, cfg), Phi.conj()), (op_A(d_z_phi, cfg), d_z_phi)):
+        want = leaf.evaluate(Point(*end))
+        for waypoints in (
+            [(0, 0), end],
+            [(0, 0), (0.9, 0.0), end],
+            [(0, 0), (0.2, 0.65), (0.5, 0.1), end],
+        ):
+            path = Contour.polyline(waypoints, n_per_segment=64)
+            got = 2.0 * line_integral_dz(form, path).real + cfg.constant_c
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_vanishing_partial_skips_quadrature(monkeypatch):
@@ -265,8 +286,8 @@ def test_nested_leaf_at_its_base_evaluates_nothing(monkeypatch):
     outer = op_A(d_z(inner * ExprField(inner.domain, "1 + 0.3*x*y")), cfg)
     points.clear()
     assert outer.evaluate(cfg.base) == 0.25
+    assert np.array_equal(outer(np.full(3, 0.37), np.full(3, 0.41)), np.full(3, 0.25))
     assert points == []
-    assert np.array_equal(adaptive_segment_integral(None, 0.5, np.full(3, 0.5)), np.zeros(3))
 
 
 # phi = sin(7x)cosh(3y) + x cos(9y) on [0, 3]^2: op_A(d_z phi) = phi - phi(0, 0)
@@ -298,11 +319,12 @@ def test_mesh_antiderivative_accurate_at_801(monkeypatch):
     assert sum(points) == 15 * (801 * 15 + 1)
 
 
-def test_non_converging_integrand_raises():
+def test_non_converging_integrand_raises(unit_square):
     with pytest.raises(QuadratureError, match="16384 panels"):
-        adaptive_segment_integral(lambda s: np.sin(1e7 * s), 0.0, 1.0)
+        _leaf_of(lambda x, y: np.sin(1e7 * x) + 0.0 * y, unit_square).evaluate(Point(1.0, 0.5))
+    infinite = _leaf_of(lambda x, y: np.full(np.broadcast(x, y).shape, np.inf), unit_square)
     with pytest.raises(QuadratureError, match="non-finite"):
-        adaptive_segment_integral(lambda s: np.full(s.shape, np.inf), 0.0, np.ones(3))
+        infinite(np.ones(3), np.array([0.1, 0.2, 0.3]))
 
 
 def _count_integrand(monkeypatch):
@@ -318,25 +340,6 @@ def _count_integrand(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_integrand", counting)
     return points
-
-
-def _count_quadrature(monkeypatch):
-    """Lists that collect one entry per adaptive call and the size of every
-    integrand batch."""
-    calls, points = [], []
-    inner = quadrature.adaptive_segment_integral
-
-    def counting(fn, *args, **kwargs):
-        calls.append(1)
-
-        def counted(s):
-            points.append(np.size(s))
-            return fn(s)
-
-        return inner(counted, *args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "adaptive_segment_integral", counting)
-    return calls, points
 
 
 def test_mesh_sample_takes_the_same_panels_at_201_and_401(monkeypatch):
@@ -377,13 +380,14 @@ def test_mesh_sample_peak_memory_at_401(monkeypatch):
 
 
 def test_point_l_path_cost_and_error(monkeypatch):
-    """(2.9, 2.9) alone takes fewer integrand points than the 144 of 8- and 16-node
-    Gauss-Legendre levels, at an error no larger than their 1.82e-12."""
+    """(2.9, 2.9) alone takes 240 integrand points, each of its two segments
+    bisected over the whole side [0, 3], at an error no larger than the 1.82e-12
+    of 8- and 16-node Gauss-Legendre levels."""
     phi, A = _phi_antiderivative(41)
-    calls, points = _count_quadrature(monkeypatch)
+    points = _count_integrand(monkeypatch)
     got = float(A(2.9, 2.9))
     exact = phi.evaluate(Point(2.9, 2.9)) - phi.evaluate(Point(0.0, 0.0))
-    assert len(calls) == 2 and sum(points) < 144
+    assert sum(points) == 240
     assert abs(got - exact) <= 1.82e-12
 
 
@@ -413,16 +417,14 @@ _POINT = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_point_value_independent_of_its_batch(point, others, data):
     """Alone, inside a batch of any size and inside a permutation of that batch, a
-    point's segment integral and its per-point op_A value are bit-identical."""
+    point's op_A value is bit-identical."""
     where = data.draw(st.integers(0, len(others)))
     order = np.asarray(data.draw(st.permutations(range(len(others) + 1))))
     x, y = np.array(others[:where] + [point] + others[where:]).T
-    fn = lambda s: np.sin(7 * s) * np.cosh(3 * s)
     _, A = _phi_antiderivative(41)
-    seg, val = adaptive_segment_integral(fn, 0.0, point[0]), A(*point)
+    val = A(*point)
     for idx in (np.arange(len(x)), order):
         at = int(np.flatnonzero(idx == where)[0])
-        assert adaptive_segment_integral(fn, 0.0, x[idx])[at] == seg
         assert A(x[idx], y[idx])[at] == val
 
 
@@ -484,6 +486,16 @@ def _nested(nx, ny, bases, seed="exp(0.6*x + 0.8*y)"):
     return phi
 
 
+def _nested_exact(bases, x, y, seed=lambda x, y: np.exp(0.6 * x + 0.8 * y)):
+    """The closed form of ``_nested``: phi_k = phi_{k-1} w - (phi_{k-1} w)(b_k),
+    w = 1 + 0.3xy, innermost base first."""
+    if not bases:
+        return seed(np.asarray(x), np.asarray(y))
+    (bx, by), inner = bases[-1], bases[:-1]
+    weighted = _nested_exact(inner, x, y, seed) * (1.0 + 0.3 * np.asarray(x) * y)
+    return weighted - _nested_exact(inner, bx, by, seed) * (1.0 + 0.3 * bx * by)
+
+
 def _mesh_minus_per_point(phi):
     xg, yg = phi.domain.mesh()
     on_mesh = phi.sample()
@@ -517,7 +529,10 @@ def test_nested_mesh_matches_per_point_values(case):
     above it.  With bases on or off the knots, on the rectangle's edge or
     5e-324 off a knot, the mesh sample equals each point's own L-path."""
     nx, ny, bases = case
-    assert _mesh_minus_per_point(_nested(nx, ny, bases)) <= 1e-12
+    phi = _nested(nx, ny, bases)
+    assert _mesh_minus_per_point(phi) <= 1e-12
+    xg, yg = phi.domain.mesh()
+    assert np.max(np.abs(phi.sample() - _nested_exact(bases, xg, yg))) <= 1e-12
 
 
 def test_tensor_grid_at_k15_nodes_of_unresolved_cells_matches_per_point_values():
@@ -538,18 +553,25 @@ def test_tensor_grid_at_k15_nodes_of_unresolved_cells_matches_per_point_values()
         own = leaf(*np.broadcast_arrays(x, y))
         tol = quadrature.SEGMENT_REL_TOL * (np.max(np.abs(own)) + 1.0)
         assert np.max(np.abs(on_mesh - own)) <= tol
-    phi = _nested(5, 4, [(0.37, 0.41), (0.0, 0.0)], seed=seed)
-    assert _mesh_minus_per_point(phi) <= quadrature.SEGMENT_REL_TOL * (max_abs(phi) + 1.0)
+    bases = [(0.37, 0.41), (0.0, 0.0)]
+    phi = _nested(5, 4, bases, seed=seed)
+    tol = quadrature.SEGMENT_REL_TOL * (max_abs(phi) + 1.0)
+    assert _mesh_minus_per_point(phi) <= tol
+    xg, yg = phi.domain.mesh()
+    exact = _nested_exact(bases, xg, yg, lambda x, y: np.sin(40 * x + 30 * y))
+    assert np.max(np.abs(phi.sample() - exact)) <= tol
 
 
 @pytest.mark.parametrize("x", [0.0, 0.37, 1.0])
 def test_one_abscissa_and_a_column_of_ordinates_match_per_point_values(x):
     """One abscissa against a column of ordinates is a tensor grid whose rows
     have a single target, at the base, on the edge, or between them."""
-    phi = _nested(5, 7, [(0.37, 0.41), (0.0, 0.0)])
+    bases = [(0.37, 0.41), (0.0, 0.0)]
+    phi = _nested(5, 7, bases)
     _, ys = phi.domain.axes()
     on_mesh = phi(np.array([[x]]), ys)
     assert np.max(np.abs(on_mesh - phi(np.full(ys.shape, x), ys))) <= 1e-12
+    assert np.max(np.abs(on_mesh - _nested_exact(bases, x, ys))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [41, 401])
@@ -642,3 +664,61 @@ def test_nested_integrand_points_grow_linearly_with_depth(monkeypatch):
         counts.append(sum(points))
     assert counts[0] == 15 * (41 + 1)  # one panel for the rows, one for the base column
     assert counts[3] <= 8 * counts[0]
+
+
+def test_nested_leaf_at_contour_points_costs_linear_in_depth(monkeypatch):
+    """A nested leaf asked at 16 circle points asks the level below at a tensor
+    grid of panel nodes, so each level adds about as many integrand points as
+    the first (one L-path per point and level took 480 points at depth 1 and
+    11,280 at depth 2): depth 4 takes at most 8x the points of depth 1, every
+    depth within 1e-12 of the closed form."""
+    t = 2.0 * np.pi * np.arange(16) / 16
+    x, y = 0.5 + 0.3 * np.cos(t), 0.5 + 0.3 * np.sin(t)
+    points = _count_integrand(monkeypatch)
+    counts = []
+    for depth in range(1, 5):
+        bases = [(0.0, 0.0)] * depth
+        phi = _nested(41, 41, bases)
+        points.clear()
+        assert np.max(np.abs(phi(x, y) - _nested_exact(bases, x, y))) <= 1e-12
+        counts.append(sum(points))
+    assert counts[0] == 210 and counts[3] <= 8 * counts[0]
+
+
+def test_depth_10_leaf_at_one_point(monkeypatch):
+    """Ten levels of nesting at one point take 315 integrand points, within
+    1e-12 of the closed form."""
+    bases = [(0.0, 0.0)] * 10
+    phi = _nested(41, 41, bases)
+    points = _count_integrand(monkeypatch)
+    got = phi.evaluate(Point(0.7, 0.6))
+    assert sum(points) == 315
+    assert abs(got - _nested_exact(bases, 0.7, 0.6)) <= 1e-12
+
+
+def test_point_values_do_not_depend_on_the_chunks_of_rows(monkeypatch):
+    """Points are integrated in chunks of rows, and a row shares no certificate
+    with another: chunks of 10 rows give the same bits as one chunk."""
+    _, A = _phi_antiderivative(41)
+    x, y = np.random.default_rng(3).uniform(0.0, 3.0, (2, 300))
+    whole = A(x, y)
+    monkeypatch.setattr(quadrature, "_MAX_BATCH", 2400)  # 2400 // (15 * 16) = 10 rows
+    _, A = _phi_antiderivative(41)
+    assert np.array_equal(A(x, y), whole)
+
+
+def test_point_batch_peak_memory():
+    """65,536 points on a circle are integrated in chunks of rows: the traced peak
+    stays within 20 MiB (41 MiB for one G7/K15 L-path per point)."""
+    import tracemalloc
+
+    _, A = _phi_antiderivative(41)
+    t = 2.0 * np.pi * np.arange(65_536) / 65_536
+    x, y = 1.5 + 1.4 * np.cos(t), 1.5 + 1.4 * np.sin(t)
+    tracemalloc.start()
+    try:
+        A(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
