@@ -289,7 +289,7 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     target on a panel's edge is that edge's sum.
     """
     across = np.ravel(across)
-    each, step = targets.ndim == 2, _MAX_BATCH // (15 * 16)  # rows on 16 panels each
+    each, step = targets.ndim == 2, _MAX_BATCH // (15 * 16)  # 16 panels a row in one chunk
     if each and across.size > step:
         rows = (slice(row, row + step) for row in range(0, across.size, step))
         return np.concatenate([_along(phi, axis, side, start, targets[c], across[c]) for c in rows])
