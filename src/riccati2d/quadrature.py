@@ -274,8 +274,7 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     """Integrals of phi along ``axis`` from ``start``, one row per coordinate of
     ``across`` (ordinates for axis 0, abscissae for axis 1).  ``targets`` is a
     1-D array of sorted distinct targets that every row shares, giving an array
-    of shape (rows, targets), or a column of one target per row, the rows then
-    sorted by ``across``.
+    of shape (rows, targets), or a column of one target per row.
 
     A row takes, from the root panels down, the first certified panel that
     meets the span of its targets and start; shared targets certify a panel
@@ -294,11 +293,11 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
         rows = (slice(row, row + step) for row in range(0, across.size, step))
         return np.concatenate([_along(phi, axis, side, start, targets[c], across[c]) for c in rows])
     t = targets if each else targets[None, :]
+    if not np.isfinite(t).all():
+        raise QuadratureError("segment quadrature got a non-finite target")
     lo, hi = np.minimum(t[:, :1], start), np.maximum(t[:, -1:], start)
-    if each:  # the rows come sorted by across: each distinct line once
-        new_line = np.ones(across.size, dtype=bool)
-        new_line[1:] = across[1:] != across[:-1]
-        lines, line_of = across[new_line], new_line.cumsum() - 1
+    if each:  # each distinct line once
+        lines, line_of = np.unique(across, return_inverse=True)
     ends = {min(lo.min(), side[0]), start, max(hi.max(), side[1])}
     edges = np.array(sorted(ends))
     a, b = edges[:-1], edges[1:]  # the panels of this round
@@ -413,8 +412,9 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
         x, y = np.broadcast_arrays(x, y)
         if np.all((x == x0) & (y == y0)):  # both segments have zero length
             return np.full(x.shape, c)
-        # one row per distinct point, sorted by ordinate, then abscissa
-        points, back = np.unique((y + 1j * x).ravel(), return_inverse=True)
+        points = np.empty(x.size, complex)  # one row per distinct point, by ordinate, then abscissa
+        points.real, points.imag = y.ravel(), x.ravel()
+        points, back = np.unique(points, return_inverse=True)
         i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, points.imag[:, None], points.real)
         i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, points.real[:, None], np.full(points.size, x0))
         return (2.0 * (i1 + sign * i2) + c)[back].reshape(x.shape)

@@ -167,6 +167,16 @@ def test_rows_that_took_their_panels_ignore_values_they_do_not_need(unit_square)
     assert alone == pytest.approx(2.0 * (math.sin(3.3) - math.sin(2.4)) / 3.0, abs=1e-12)
 
 
+def test_non_finite_target_raises():
+    """A point or a mesh column at a NaN abscissa raises instead of taking, or
+    giving the rest of its batch, the value of another target."""
+    _, A = _phi_antiderivative(41)
+    with pytest.raises(QuadratureError, match="non-finite target"):
+        A(np.array([np.nan, 1.5]), np.array([1.0, 2.0]))
+    with pytest.raises(QuadratureError, match="non-finite target"):
+        A(np.array([[0.5, np.nan]]), np.array([[1.0], [2.0]]))
+
+
 def test_compatibility_check_pass_and_fail(unit_square):
     ok = ComplexField(ExprField(unit_square, ex.X), ExprField(unit_square, ex.ZERO))
     assert compatibility_check(ok, "casirot") < 1e-14
