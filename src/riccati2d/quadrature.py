@@ -262,9 +262,8 @@ def _panel_values(phi: Field, axis: int, a: np.ndarray, b: np.ndarray, across: n
 
 
 def _certify(sums: np.ndarray, h: np.ndarray):
-    """Each panel's K15 integral, from its node sums [K15 / h, c13, c14] along the
-    first axis, and whether the Legendre tail of its interpolant is small enough
-    to trust its partial integrals: (|c13| + |c14|) * h <= SEGMENT_REL_TOL * (|K15| + 1)."""
+    """Each panel's K15 integral, from its node sums [K15 / h, c13, c14] along the first axis,
+    and whether its partial integrals hold: (|c13| + |c14|) * h <= SEGMENT_REL_TOL * (|K15| + 1)."""
     k = sums[0] * h
     tail = (np.abs(sums[1]) + np.abs(sums[2])) * h
     return k, tail <= SEGMENT_REL_TOL * (np.abs(k) + 1.0)
@@ -298,8 +297,7 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     lo, hi = np.minimum(t[:, :1], start), np.maximum(t[:, -1:], start)
     if each:  # each distinct line once
         lines, line_of = np.unique(across, return_inverse=True)
-    ends = {min(lo.min(), side[0]), start, max(hi.max(), side[1])}
-    edges = np.array(sorted(ends))
+    edges = np.array(sorted({min(lo.min(), side[0]), start, max(hi.max(), side[1])}))
     a, b = edges[:-1], edges[1:]  # the panels of this round
     need = (b > lo) & (a < hi)  # by each row, or by all rows together
     taken, partial = np.zeros(len(need), dtype=int), np.zeros(t.shape)
@@ -412,9 +410,8 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
         x, y = np.broadcast_arrays(x, y)
         if np.all((x == x0) & (y == y0)):  # both segments have zero length
             return np.full(x.shape, c)
-        points = np.empty(x.size, complex)  # one row per distinct point, by ordinate, then abscissa
-        points.real, points.imag = y.ravel(), x.ravel()
-        points, back = np.unique(points, return_inverse=True)
+        yx = np.stack([y.ravel(), x.ravel()], axis=1).view(complex).ravel()  # y + ix, exactly
+        points, back = np.unique(yx, return_inverse=True)  # a row per point, by y, then x
         i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, points.imag[:, None], points.real)
         i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, points.real[:, None], np.full(points.size, x0))
         return (2.0 * (i1 + sign * i2) + c)[back].reshape(x.shape)
