@@ -8,6 +8,7 @@ from .errors import (
     DegeneratePairError,
     DomainError,
     ExpressionError,
+    GateError,
     NonvanishingError,
     NotASolutionError,
     ParameterError,

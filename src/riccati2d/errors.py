@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+The errors of the hypothesis gates derive from ``GateError``: each carries the
+gated quantity's name ``what``, its sampled ``value``, the ``limit`` it failed
+and, for a gate on a minimum, the sample point ``at`` where it was found."""
 
 
 class ToolkitError(Exception):
@@ -21,48 +25,41 @@ class ResolutionError(ToolkitError):
     """Grid too coarse for the requested stencil (nx or ny < 3)."""
 
 
-class CompatibilityError(ToolkitError):
+class GateError(ToolkitError):
+    """A hypothesis gate failed: the sampled ``value`` of ``what`` against ``limit``,
+    at the sample point ``at`` where the gate locates it (else None).  Each subclass
+    words the message with its own ``template``."""
+
+    template = ""
+
+    def __init__(self, what: str, value: float, limit: float, at=None):
+        self.what, self.value, self.limit, self.at = what, value, limit, at
+        super().__init__(self.template.format(what=what, value=value, limit=limit, at=at))
+
+
+class CompatibilityError(GateError):
     """Antiderivative compatibility condition violated."""
 
-    def __init__(self, which: str, residual: float, tol: float):
-        self.which = which
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"compatibility condition {which} violated: max residual "
-            f"{residual:.3e} exceeds tolerance {tol:.3e}"
-        )
+    template = ("compatibility condition {what} violated: max residual {value:.3e} "
+                "exceeds tolerance {limit:.3e}")
 
 
-class NonvanishingError(ToolkitError):
+class NonvanishingError(GateError):
     """A field required to be nonvanishing dipped below the sampled threshold."""
 
-    def __init__(self, name: str, min_abs: float, at):
-        self.name = name
-        self.min_abs = min_abs
-        self.at = at
-        super().__init__(
-            f"{name} must be nonvanishing: sampled min |{name}| = {min_abs:.3e} at {at}"
-        )
+    template = "{what} must be nonvanishing: sampled min |{what}| = {value:.3e} at {at}"
 
 
-class ZeroSetError(ToolkitError):
+class ZeroSetError(GateError):
     """A denominator field vanishes inside the evaluation region."""
 
-    def __init__(self, name: str, min_abs: float, at):
-        self.name = name
-        self.min_abs = min_abs
-        self.at = at
-        super().__init__(f"{name} vanishes in the region: min |{name}| = {min_abs:.3e} at {at}")
+    template = "{what} vanishes in the region: min |{what}| = {value:.3e} at {at}"
 
 
-class DegeneratePairError(ToolkitError):
+class DegeneratePairError(GateError):
     """Two fields entering a denominator are numerically identical."""
 
-    def __init__(self, pair: str, min_abs: float):
-        self.pair = pair
-        self.min_abs = min_abs
-        super().__init__(f"degenerate pair {pair}: min |difference| = {min_abs:.3e}")
+    template = "degenerate pair {what}: min |difference| = {value:.3e}"
 
 
 class ContourError(ToolkitError):
@@ -73,16 +70,10 @@ class QuadratureError(ToolkitError):
     """Segment quadrature gave a non-finite value or did not converge within MAX_PANELS."""
 
 
-class NotASolutionError(ToolkitError):
+class NotASolutionError(GateError):
     """An input that must solve its equation fails the residual precondition."""
 
-    def __init__(self, what: str, residual: float, tol: float):
-        self.what = what
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"{what} is not a solution: residual {residual:.3e} exceeds {tol:.3e}"
-        )
+    template = "{what} is not a solution: residual {value:.3e} exceeds {limit:.3e}"
 
 
 class ParameterError(ToolkitError):

@@ -13,6 +13,11 @@ Data outside the expression grammar enters as ``Given`` leaves:
   of order (i, j) is the leaf of the samples differenced once along each axis
   by the order-2 stencil of that order (``_fd1`` for a first, ``_fd2`` for a
   second derivative; central in the interior, one-sided at the boundary).
+
+Every hypothesis gate of the package samples a field on its own mesh and makes
+one comparison that NaN fails: ``require_at_most`` bounds max |f| and
+``require_above`` bounds min |f| from below, naming where the minimum lies.  A
+failed gate raises the ``GateError`` subclass its caller names.
 """
 from __future__ import annotations
 
@@ -25,12 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import expressions as ex
-from .errors import (
-    DomainError,
-    NonvanishingError,
-    ParameterError,
-    ResolutionError,
-)
+from .errors import DomainError, NonvanishingError, ParameterError, ResolutionError
 
 NONVANISHING_EPS = 1e-10
 
@@ -336,7 +336,7 @@ def gradient_norm_ratio(f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Sampling diagnostics
+# Sampling diagnostics and hypothesis gates
 # ---------------------------------------------------------------------------
 
 
@@ -344,17 +344,31 @@ def max_abs(f: Field, nx=None, ny=None, margin: int = 0) -> float:
     return float(np.max(np.abs(f.sample(nx, ny, margin))))
 
 
-def min_abs_location(f: Field, nx=None, ny=None) -> tuple[float, Point]:
-    xs, ys = f.domain.axes(nx, ny)
-    vals = np.abs(f.sample(nx, ny))
+def min_abs_location(f: Field) -> tuple[float, Point]:
+    xs, ys = f.domain.axes()
+    vals = np.abs(f.sample())
     j, i = np.unravel_index(np.argmin(vals), vals.shape)
     return float(vals[j, i]), Point(float(xs[0, i]), float(ys[j, 0]))
 
 
+def require_at_most(f: Union[Field, float], limit: float, error: type, what: str) -> None:
+    """Gate: max |f| on f's mesh (or the number f, measured already) is at most
+    ``limit``, else ``error(what, value, limit)``.  NaN fails."""
+    value = max_abs(f) if isinstance(f, Field) else f
+    if not value <= limit:
+        raise error(what, value, limit)
+
+
+def require_above(f: Field, limit: float, error: type, what: str) -> None:
+    """Gate: min |f| on f's mesh exceeds ``limit``, else ``error(what, min, limit,
+    (x, y))`` at the minimum's sample point.  NaN fails."""
+    value, at = min_abs_location(f)
+    if not value > limit:
+        raise error(what, value, limit, at.as_tuple())
+
+
 def check_nonvanishing(f: Field, name: str) -> None:
-    m, at = min_abs_location(f)
-    if not m > NONVANISHING_EPS:
-        raise NonvanishingError(name, m, (at.x, at.y))
+    require_above(f, NONVANISHING_EPS, NonvanishingError, name)
 
 
 # ---------------------------------------------------------------------------

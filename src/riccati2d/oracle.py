@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import expressions as ex
-from .errors import ParameterError
+from .errors import NotASolutionError, ParameterError
 from .field import (
     DomainSpec,
     Field,
@@ -22,9 +22,10 @@ from .field import (
     constant_field,
     d_z,
     min_abs_location,
+    require_at_most,
 )
 from .quadrature import AntiderivativeConfig
-from .riccati import RiccatiProblem, _require_residual, riccati_residual, schrodinger_residual
+from .riccati import RiccatiProblem, riccati_residual, schrodinger_residual
 
 SELF_CHECK_TOL = 1e-12
 ZERO_SET_MARGIN = 1e-6
@@ -51,8 +52,9 @@ def _self_check(sol: OracleSolution) -> OracleSolution:
         raise ParameterError(
             f"{sol.family} oracle: u nearly vanishes (min |u| = {m:.3e} at ({at.x}, {at.y}))"
         )
-    _require_residual(schrodinger_residual(sol.u, prob), f"{sol.family} oracle u", SELF_CHECK_TOL)
-    _require_residual(riccati_residual(sol.Q, prob), f"{sol.family} oracle Q", SELF_CHECK_TOL)
+    tol, family = SELF_CHECK_TOL, sol.family
+    require_at_most(schrodinger_residual(sol.u, prob), tol, NotASolutionError, f"{family} oracle u")
+    require_at_most(riccati_residual(sol.Q, prob), tol, NotASolutionError, f"{family} oracle Q")
     return sol
 
 

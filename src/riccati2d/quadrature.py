@@ -32,7 +32,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .field import DomainSpec, Field, Point, max_abs
+from .field import DomainSpec, Field, Point, max_abs, require_at_most
 
 # Gauss-Kronrod K15 on [-1, 1] (QUADPACK's qk15, exact to degree 22), with the
 # nodes of its embedded 7-point Gauss rule first
@@ -107,6 +107,7 @@ _PANEL_SUMS[:, 1:] *= _weights(_K15_NODES)[:, None]
 _PANEL_SUMS[:, 1:] /= [math.comb(26, 13) / 2.0**13, math.comb(28, 14) / 2.0**14]
 
 SEGMENT_REL_TOL = 1e-10
+COMPAT_TOL = 1e-8  # the max sampled compatibility residual that op_A and op_Abar accept
 MAX_PANELS = 2**14
 _MAX_BATCH = 1_000_000  # integrand points per evaluation chunk; bounds memory only
 # an antiderivative keeps its values at this many latest point sets: nested one
@@ -119,11 +120,6 @@ _KEPT = 3
 class AntiderivativeConfig:
     base: Point
     constant_c: float = 0.0
-    compat_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.compat_tol <= 0:
-            raise ParameterError("compat_tol must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +225,6 @@ def compatibility_check(Phi: Field, which: str) -> float:
     else:
         raise ParameterError(f"unknown compatibility condition {which!r}")
     return max_abs(resid)
-
-
-def _require_compatible(Phi: Field, which: str, tol: float) -> None:
-    residual = compatibility_check(Phi, which)
-    if not residual <= tol:
-        raise CompatibilityError(which, residual, tol)
 
 
 def _tensor_grid(x: np.ndarray, y: np.ndarray) -> bool:
@@ -447,19 +437,20 @@ def _antiderivative(Phi: Field, cfg: AntiderivativeConfig, sign: float, name: st
 def op_Abar(Phi: Field, cfg: AntiderivativeConfig) -> Field:
     """Reconstruct the real field phi with d_zbar(phi) = Phi, up to the constant c.
 
-    Requires d_y Phi1 - d_x Phi2 = 0 within cfg.compat_tol.  The returned
+    Requires d_y Phi1 - d_x Phi2 = 0 within COMPAT_TOL.  The returned
     field carries the analytically exact partials d_x phi = 2 Phi1 and
     d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature.
     """
-    _require_compatible(Phi, "casirot", cfg.compat_tol)
+    require_at_most(compatibility_check(Phi, "casirot"), COMPAT_TOL, CompatibilityError, "casirot")
     return _antiderivative(Phi, cfg, +1.0, "op_Abar")
 
 
 def op_A(Phi: Field, cfg: AntiderivativeConfig) -> Field:
     """Reconstruct the real field phi with d_z(phi) = Phi, up to the constant c.
 
-    Requires d_y Phi1 + d_x Phi2 = 0 within cfg.compat_tol.  Exact partials:
+    Requires d_y Phi1 + d_x Phi2 = 0 within COMPAT_TOL.  Exact partials:
     d_x phi = 2 Phi1, d_y phi = -2 Phi2.
     """
-    _require_compatible(Phi, "casirot_plus", cfg.compat_tol)
+    which = "casirot_plus"
+    require_at_most(compatibility_check(Phi, which), COMPAT_TOL, CompatibilityError, which)
     return _antiderivative(Phi, cfg, -1.0, "op_A")

@@ -21,7 +21,8 @@ from .field import (
     gradient_norm_ratio,
     laplacian,
     max_abs,
-    min_abs_location,
+    require_above,
+    require_at_most,
 )
 from .quadrature import AntiderivativeConfig, op_A, op_Abar
 
@@ -48,22 +49,13 @@ def schrodinger_residual(u: Field, prob: RiccatiProblem) -> Field:
     return -laplacian(u) + prob.nu * u
 
 
-def _require_residual(residual: Field, what: str, tol: float) -> None:
-    """The gate of a hypothesis stated as a residual: NotASolutionError naming
-    ``what`` unless max |residual| <= tol (NaN fails)."""
-    peak = max_abs(residual)
-    if not peak <= tol:
-        raise NotASolutionError(what, peak, tol)
-
-
-def _require_riccati_solution(
-    Q: Field, prob: RiccatiProblem, what: str, tol: float | None = None
-) -> None:
-    _require_residual(riccati_residual(Q, prob), what, SOLUTION_TOL if tol is None else tol)
+def _require_riccati_solution(Q: Field, prob: RiccatiProblem, what: str, tol=None) -> None:
+    tol = SOLUTION_TOL if tol is None else tol
+    require_at_most(riccati_residual(Q, prob), tol, NotASolutionError, what)
 
 
 def _require_schrodinger_solution(u: Field, prob: RiccatiProblem, what: str) -> None:
-    _require_residual(schrodinger_residual(u, prob), what, SOLUTION_TOL)
+    require_at_most(schrodinger_residual(u, prob), SOLUTION_TOL, NotASolutionError, what)
 
 
 def _require_bounded(Q: Field, what: str) -> None:
@@ -72,15 +64,9 @@ def _require_bounded(Q: Field, what: str) -> None:
         raise ParameterError(f"{what} exceeds the boundedness proxy: max |{what}| = {peak:.3e}")
 
 
-def _require_nonzero_denominator(f, name: str) -> None:
-    m, at = min_abs_location(f)
-    if not m > NONVANISHING_EPS:
-        raise ZeroSetError(name, m, (at.x, at.y))
-
-
 def log_derivative(u: Field) -> Field:
     """Q = d_z(u) / u for a nonvanishing real field u."""
-    _require_nonzero_denominator(u, "u")
+    require_above(u, NONVANISHING_EPS, ZeroSetError, "u")
     return d_z(u) / u
 
 
@@ -153,5 +139,5 @@ def euler_first_W_from_Q(Q: Field, Q0: Field, prob: RiccatiProblem) -> Field:
 
 def euler_first_Q_from_W(W: Field) -> Field:
     """Recover the Riccati solution Q = d_z(Re W) / Re W."""
-    _require_nonzero_denominator(W.re, "Re W")
+    require_above(W.re, NONVANISHING_EPS, ZeroSetError, "Re W")
     return d_z(W.re) / W.re

@@ -12,24 +12,24 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import expressions as ex
-from .errors import ContourError, DegeneratePairError, ZeroSetError
+from .errors import ContourError, DegeneratePairError, NotASolutionError, ZeroSetError
 from .field import (
     DomainSpec,
     Field,
     Point,
+    check_nonvanishing,
     d_z,
     d_zbar,
     exp_field,
     laplacian,
     max_abs,
-    min_abs_location,
-    check_nonvanishing,
+    require_above,
+    require_at_most,
 )
 from .quadrature import Contour, line_integral_dz, op_A
 from .riccati import (
     RiccatiProblem,
     _require_bounded,
-    _require_residual,
     _require_riccati_solution,
     _require_schrodinger_solution,
 )
@@ -95,9 +95,7 @@ def picard_identity(
         _require_riccati_solution(Q, prob, f"Q{k}", tol=solution_tol)
     pairs = ((0, 1), (2, 3), (0, 3), (2, 1))
     for i, j in pairs:
-        dmin, _ = min_abs_location(Qs[i] - Qs[j])
-        if not dmin > PAIR_DEGENERACY_EPS:
-            raise DegeneratePairError(f"Q{i + 1}-Q{j + 1}", dmin)
+        require_above(Qs[i] - Qs[j], PAIR_DEGENERACY_EPS, DegeneratePairError, f"Q{i + 1}-Q{j + 1}")
     total = (
         picard_term(Q1, Q2)
         + picard_term(Q3, Q4)
@@ -193,7 +191,7 @@ def cauchy_laplace_reductions(
     "reciprocal" checks the second for a harmonic nonvanishing field.
     """
     _require_closed(gamma)
-    _require_residual(laplacian(field), "input (must be harmonic)", HARMONIC_TOL)
+    require_at_most(laplacian(field), HARMONIC_TOL, NotASolutionError, "input (must be harmonic)")
     if kind == "derivative":
         integrand = d_z(field)
 
@@ -225,29 +223,6 @@ def _with_refinement(name, residual_at, gamma: Contour, tolerance, refine) -> Id
 # ---------------------------------------------------------------------------
 # Second Euler theorem at the classical baseline (analytic powers)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormalPowerBaseline:
-    """Truncated power expansion around z0."""
-
-    center: Point
-    coefficients: tuple[complex, ...]
-
-    def value(self, z: np.ndarray, degree: int) -> np.ndarray:
-        z0 = complex(self.center.x, self.center.y)
-        out = np.zeros_like(z, dtype=complex)
-        for n, a in enumerate(self.coefficients[: degree + 1]):
-            out += a * (z - z0) ** n
-        return out
-
-    def derivative(self, z: np.ndarray, degree: int) -> np.ndarray:
-        z0 = complex(self.center.x, self.center.y)
-        out = np.zeros_like(z, dtype=complex)
-        for n, a in enumerate(self.coefficients[: degree + 1]):
-            if n >= 1:
-                out += n * a * (z - z0) ** (n - 1)
-        return out
 
 
 def analytic_power(n: int, domain: DomainSpec, z0: Point = Point(0.0, 0.0)) -> Field:
@@ -287,7 +262,7 @@ def euler_second_baseline(
     check compares d_z(Re S_N)/Re S_N against d_z(Re W)/Re W on a test
     subregion avoiding zeros of the retained partial sums.
     """
-    _require_residual(d_zbar(W), "W (must be analytic)", ANALYTIC_TOL)
+    require_at_most(d_zbar(W), ANALYTIC_TOL, NotASolutionError, "W (must be analytic)")
     dom = W.domain
     radius = min(z0.x - dom.x_min, dom.x_max - z0.x, z0.y - dom.y_min, dom.y_max - z0.y)
     if radius <= 0:
@@ -297,15 +272,13 @@ def euler_second_baseline(
             for cx in (dom.x_min, dom.x_max)
             for cy in (dom.y_min, dom.y_max)
         )
-    circle_r = TAYLOR_CIRCLE_FRACTION * radius
-    coeffs = taylor_coefficients(W, z0, N, circle_r)
-    expansion = FormalPowerBaseline(z0, coeffs)
+    coeffs = taylor_coefficients(W, z0, N, TAYLOR_CIRCLE_FRACTION * radius)
 
     if region is None:
         half = 0.4 * radius
         region = DomainSpec(z0.x - half, z0.x + half, z0.y - half, z0.y + half, 33, 33)
     xg, yg = region.mesh()
-    z = xg + 1j * yg
+    dz = xg + 1j * yg - complex(z0.x, z0.y)
 
     w_re = W.re(xg, yg)
     _require_region_nonzero(w_re, xg, yg, "Re W")
@@ -315,13 +288,18 @@ def euler_second_baseline(
     scale = max(abs(a) for a in coeffs) or 1.0
     retained = [n for n, a in enumerate(coeffs) if abs(a) > 1e-12 * scale]
     if not retained:
-        raise ZeroSetError("partial sum", 0.0, (z0.x, z0.y))
+        raise ZeroSetError("partial sum", 0.0, 1e-12 * scale, (z0.x, z0.y))
     table: list[tuple[float, float]] = []
-    residual = math.inf
-    for degree in range(retained[0], N + 1):
-        s_re = expansion.value(z, degree).real
-        _require_region_nonzero(s_re, xg, yg, f"Re S_{degree}")
-        q_n = 0.5 * expansion.derivative(z, degree) / s_re
+    # S_n and S_n' of each degree: those of the degree below plus its own term
+    s_n, s_prime = np.zeros_like(dz), np.zeros_like(dz)
+    for degree, a in enumerate(coeffs):
+        s_n += a * dz**degree
+        if degree >= 1:
+            s_prime += degree * a * dz ** (degree - 1)
+        if degree < retained[0]:
+            continue
+        _require_region_nonzero(s_n.real, xg, yg, f"Re S_{degree}")
+        q_n = 0.5 * s_prime / s_n.real
         residual = float(np.max(np.abs(q_n - q_exact)))
         table.append((float(degree), residual))
     return IdentityResult(
@@ -333,4 +311,4 @@ def _require_region_nonzero(values: np.ndarray, xg, yg, name: str) -> None:
     k = int(np.argmin(np.abs(values)))
     m = float(np.abs(values.flat[k]))
     if not m > PAIR_DEGENERACY_EPS:
-        raise ZeroSetError(name, m, (float(xg.flat[k]), float(yg.flat[k])))
+        raise ZeroSetError(name, m, PAIR_DEGENERACY_EPS, (float(xg.flat[k]), float(yg.flat[k])))

@@ -9,8 +9,10 @@ from riccati2d import (
     CompatibilityError,
     ComplexField,
     Contour,
+    DegeneratePairError,
     DomainSpec,
     ExprField,
+    GateError,
     NonvanishingError,
     NotASolutionError,
     OracleSolution,
@@ -31,7 +33,9 @@ from riccati2d import (
     laplacian,
     log_derivative,
     max_abs,
+    op_Abar,
     perturb,
+    picard_identity,
     riccati_residual,
     schrodinger_residual,
     separable_family,
@@ -39,14 +43,12 @@ from riccati2d import (
 )
 from riccati2d import expressions as ex
 from riccati2d.oracle import _self_check
-from riccati2d.quadrature import _require_compatible
 from riccati2d.riccati import (
     _require_bounded,
-    _require_nonzero_denominator,
     _require_riccati_solution,
     _require_schrodinger_solution,
 )
-from riccati2d.theorems import euler_second_baseline
+from riccati2d.theorems import analytic_power, euler_second_baseline
 from conftest import make_problem
 
 
@@ -199,12 +201,12 @@ def _oracle_with(u, Q, prob):
 @pytest.mark.parametrize(
     "gate, error",
     [
-        (lambda u, f, Q, prob: _require_compatible(Q, "casirot", 1e-8), CompatibilityError),
+        (lambda u, f, Q, prob: op_Abar(Q, prob.cfg), CompatibilityError),
         (lambda u, f, Q, prob: _require_riccati_solution(Q, prob, "Q"), NotASolutionError),
         (lambda u, f, Q, prob: _require_schrodinger_solution(f, prob, "f"), NotASolutionError),
         (lambda u, f, Q, prob: _require_bounded(Q, "Q"), ParameterError),
         (lambda u, f, Q, prob: check_nonvanishing(f, "f"), NonvanishingError),
-        (lambda u, f, Q, prob: _require_nonzero_denominator(f, "u"), ZeroSetError),
+        (lambda u, f, Q, prob: log_derivative(f), ZeroSetError),
         (
             lambda u, f, Q, prob: cauchy_laplace_reductions(f, Contour.circle(0.5, 0.5, 0.25)),
             NotASolutionError,
@@ -224,3 +226,95 @@ def test_nan_fails_every_gate(unit_square, gate, error):
     u = ExprField(unit_square, "exp(x)")  # a real solution for nu = 1
     with pytest.raises(error):
         gate(u, f, ComplexField(f, f), make_problem(unit_square))
+
+
+def _pinned_inputs(square):
+    prob = make_problem(square)
+    Q = exp_family(1.0, 0.5).Q
+    centred = DomainSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
+    return {
+        "compatible": lambda: op_Abar(
+            ComplexField(ExprField(square, "y"), ExprField(square, "0")), prob.cfg
+        ),
+        "nonvanishing": lambda: check_nonvanishing(ExprField(square, "x*y"), "f"),
+        "denominator": lambda: log_derivative(ExprField(square, "x - 0.5")),
+        "region": lambda: euler_second_baseline(
+            analytic_power(1, centred), Point(0.0, 0.0), 4, region=centred
+        ),
+        "pair": lambda: picard_identity(
+            Q, Q, exp_family(1.0, 2.0).Q, exp_family(1.0, 4.0).Q, prob
+        ),
+        "harmonic": lambda: cauchy_laplace_reductions(
+            ExprField(square, "x*x"), Contour.circle(0.5, 0.5, 0.25)
+        ),
+        "bounded": lambda: _require_bounded(constant_field(2e6, square), "Q0"),
+        "oracle-u": lambda: separable_family(-1.0, 0.0, shift1=math.pi / 2),
+    }
+
+
+_PINNED_GATES = [
+    (
+        "compatible",
+        CompatibilityError,
+        "compatibility condition casirot violated: max residual 1.000e+00 "
+        "exceeds tolerance 1.000e-08",
+        ("casirot", 1.0, 1e-8, None),
+    ),
+    (
+        "nonvanishing",
+        NonvanishingError,
+        "f must be nonvanishing: sampled min |f| = 0.000e+00 at (0.0, 0.0)",
+        ("f", 0.0, 1e-10, (0.0, 0.0)),
+    ),
+    (
+        "denominator",
+        ZeroSetError,
+        "u vanishes in the region: min |u| = 0.000e+00 at (0.5, 0.0)",
+        ("u", 0.0, 1e-10, (0.5, 0.0)),
+    ),
+    (
+        "region",
+        ZeroSetError,
+        "Re W vanishes in the region: min |Re W| = 0.000e+00 at (0.0, -1.0)",
+        ("Re W", 0.0, 1e-8, (0.0, -1.0)),
+    ),
+    (
+        "pair",
+        DegeneratePairError,
+        "degenerate pair Q1-Q2: min |difference| = 0.000e+00",
+        ("Q1-Q2", 0.0, 1e-8, (0.0, 0.0)),
+    ),
+    (
+        "harmonic",
+        NotASolutionError,
+        "input (must be harmonic) is not a solution: residual 2.000e+00 exceeds 1.000e-06",
+        ("input (must be harmonic)", 2.0, 1e-6, None),
+    ),
+    (
+        "bounded",
+        ParameterError,
+        "Q0 exceeds the boundedness proxy: max |Q0| = 2.000e+06",
+        None,
+    ),
+    (
+        "oracle-u",
+        ParameterError,
+        "separable_family oracle: u nearly vanishes (min |u| = 6.123e-17 at (0.0, 0.0))",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "gate, error, message, fields", _PINNED_GATES, ids=[case[0] for case in _PINNED_GATES]
+)
+def test_gate_messages_are_pinned(unit_square, gate, error, message, fields):
+    """Every gate's message text, and each GateError's (what, value, limit, at)."""
+    with pytest.raises(error) as caught:
+        _pinned_inputs(unit_square)[gate]()
+    err = caught.value
+    assert type(err) is error and str(err) == message
+    if fields is None:
+        assert not isinstance(err, GateError)
+    else:
+        assert (err.what, err.value, err.limit, err.at) == fields
