@@ -35,7 +35,6 @@ from .field import (
     gradient_norm_ratio,
     laplacian,
     max_abs,
-    min_abs_location,
     read_grid_csv,
     write_grid_csv,
 )

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
-from .errors import ConfigError, ExpressionError, ToolkitError
+from .errors import ConfigError, DomainError, ExpressionError, ToolkitError
 from .expressions import parse_expression
 from .field import (
     DomainSpec,
@@ -30,7 +30,7 @@ from .field import (
 )
 from . import oracle
 from .oracle import OracleSolution
-from .quadrature import _K15_NODES, AntiderivativeConfig, Contour
+from .quadrature import AntiderivativeConfig, Contour
 from .riccati import (
     RiccatiProblem,
     darboux_potential_eta,
@@ -420,15 +420,20 @@ def parse_config(text: str) -> RunConfig:
         _check_z0(cfg, lines["z0"])
     elif cfg.case in ("euler2-baseline", "all"):
         _check_z0(cfg, lines.get("domain"), "the default z0")
+    if cfg.case in ("cauchy-riccati", "cauchy-schrodinger", "laplace-reductions", "all"):
+        try:  # the contour cases integrate on the rectangle of _check_z0
+            cfg.contour.check_inside(cfg.domain or _CENTRED_SQUARE)
+        except DomainError as exc:
+            name = "contour" if "contour" in lines else "the default contour"
+            raise ConfigError(f"{name}: {exc}", lines.get("contour", lines.get("domain"))) from None
     _validate_requirements(cfg)
     return cfg
 
 
 def _check_refine(cfg: RunConfig, line: Optional[int] = None) -> None:
     """refine >= 0, and the finest contour level evaluates at most _MAX_CONTOUR_NODES
-    integrand points per circle or polyline segment (a polyline panel has K15's nodes)."""
-    n = cfg.contour.resolution()
-    points = n if cfg.contour.kind == "circle" else n * len(_K15_NODES)
+    integrand points per circle or polyline segment."""
+    points = cfg.contour.integrand_points()
     if cfg.refine < 0:
         raise ConfigError(f"refine must be >= 0, got {cfg.refine}", line)
     # every contour has resolution >= 1, so refine > 20 always overflows the cap

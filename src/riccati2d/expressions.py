@@ -348,6 +348,8 @@ def add(a: Expr, b: Expr) -> Expr:
 def neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
+    if isinstance(a, Mul) and isinstance(a.a, Const):  # -(c b) = (-c) b, exactly
+        return mul(Const(-a.a.value), a.b)
     return Mul(Const(-1.0), a)
 
 

@@ -16,8 +16,9 @@ Data outside the expression grammar enters as ``Given`` leaves:
 
 Every hypothesis gate of the package samples a field on its own mesh and makes
 one comparison that NaN fails: ``require_at_most`` bounds max |f| and
-``require_above`` bounds min |f| from below, naming where the minimum lies.  A
-failed gate raises the ``GateError`` subclass its caller names.
+``require_above`` bounds min |f| from below, naming where the minimum lies; real
+samples that change sign between neighbours have a zero between them, so their
+min |f| is 0.  A failed gate raises the ``GateError`` subclass its caller names.
 """
 from __future__ import annotations
 
@@ -344,11 +345,16 @@ def max_abs(f: Field, nx=None, ny=None, margin: int = 0) -> float:
     return float(np.max(np.abs(f.sample(nx, ny, margin))))
 
 
-def min_abs_location(f: Field) -> tuple[float, Point]:
-    xs, ys = f.domain.axes()
-    vals = np.abs(f.sample())
-    j, i = np.unravel_index(np.argmin(vals), vals.shape)
-    return float(vals[j, i]), Point(float(xs[0, i]), float(ys[j, 0]))
+def _sign_change(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """The root of the line through the first two neighbouring samples, along x and
+    then along y, whose signs differ: samples of both signs and no zero have one."""
+    x, y = np.broadcast_arrays(x, y, v)[:2]
+    for v, x, y in ((v, x, y), (v.T, x.T, y.T)):
+        j, i = np.nonzero(np.sign(v[:, :-1]) * np.sign(v[:, 1:]) < 0)
+        if j.size:
+            j, i = j[0], i[0]
+            t = v[j, i] / (v[j, i] - v[j, i + 1])
+            return tuple(float(p[j, i] + t * (p[j, i + 1] - p[j, i])) for p in (x, y))
 
 
 def require_at_most(f: Union[Field, float], limit: float, error: type, what: str) -> None:
@@ -359,12 +365,22 @@ def require_at_most(f: Union[Field, float], limit: float, error: type, what: str
         raise error(what, value, limit)
 
 
-def require_above(f: Field, limit: float, error: type, what: str) -> None:
-    """Gate: min |f| on f's mesh exceeds ``limit``, else ``error(what, min, limit,
-    (x, y))`` at the minimum's sample point.  NaN fails."""
-    value, at = min_abs_location(f)
+def require_above(
+    f: Union[Field, np.ndarray], limit: float, error: type, what: str, mesh=None
+) -> None:
+    """Gate: min |f| on f's mesh (or of the samples f at the points ``mesh``, an
+    (x, y) pair) exceeds ``limit``, else ``error(what, min, limit, (x, y))`` where
+    the minimum lies.  Real samples that change sign between neighbours have a
+    zero between them: min |f| is 0 there, at the first such root.  NaN fails."""
+    values, mesh = (f.sample(), f.domain.axes()) if isinstance(f, Field) else (f, mesh)
+    a = np.abs(values)
+    j, i = np.unravel_index(np.argmin(a), a.shape)
+    # the mesh coordinates broadcast to the samples: a length-1 axis takes index 0
+    value, at = float(a[j, i]), tuple(float(c[j % c.shape[0], i % c.shape[1]]) for c in mesh)
+    if value > limit and np.isrealobj(values) and values.min() < 0 < values.max():
+        value, at = 0.0, _sign_change(values, *mesh)
     if not value > limit:
-        raise error(what, value, limit, at.as_tuple())
+        raise error(what, value, limit, at)
 
 
 def check_nonvanishing(f: Field, name: str) -> None:

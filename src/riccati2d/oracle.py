@@ -21,7 +21,7 @@ from .field import (
     Point,
     constant_field,
     d_z,
-    min_abs_location,
+    require_above,
     require_at_most,
 )
 from .quadrature import AntiderivativeConfig
@@ -46,13 +46,12 @@ class OracleSolution:
 
 
 def _self_check(sol: OracleSolution) -> OracleSolution:
-    prob = sol.problem()
-    m, at = min_abs_location(sol.u)
-    if not m > ZERO_SET_MARGIN:
-        raise ParameterError(
-            f"{sol.family} oracle: u nearly vanishes (min |u| = {m:.3e} at ({at.x}, {at.y}))"
-        )
-    tol, family = SELF_CHECK_TOL, sol.family
+    prob, tol, family = sol.problem(), SELF_CHECK_TOL, sol.family
+
+    def vanishes(what, m, limit, at):  # not a GateError: the oracle itself is invalid
+        return ParameterError(f"{family} oracle: u nearly vanishes (min |u| = {m:.3e} at {at})")
+
+    require_above(sol.u, ZERO_SET_MARGIN, vanishes, "u")
     require_at_most(schrodinger_residual(sol.u, prob), tol, NotASolutionError, f"{family} oracle u")
     require_at_most(riccati_residual(sol.Q, prob), tol, NotASolutionError, f"{family} oracle Q")
     return sol

@@ -119,7 +119,6 @@ _KEPT = 3
 @dataclass(frozen=True)
 class AntiderivativeConfig:
     base: Point
-    constant_c: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +166,22 @@ class Contour:
     def resolution(self) -> int:
         return self.n_nodes if self.kind == "circle" else self.n_per_segment
 
-    def check_inside(self, domain: DomainSpec) -> None:
+    def integrand_points(self) -> int:
+        """Integrand points per circle or polyline segment: a polyline panel has K15's nodes."""
+        return self.n_nodes if self.kind == "circle" else self.n_per_segment * len(_K15_NODES)
+
+    def check_inside(self, d: DomainSpec) -> None:
+        """DomainError unless the contour lies in the rectangle: a circle's four
+        extreme points and a polyline's vertices."""
         if self.kind == "circle":
-            c, r = self.center, self.radius
-            ok = (
-                domain.contains(c.x - r, c.y)
-                and domain.contains(c.x + r, c.y)
-                and domain.contains(c.x, c.y - r)
-                and domain.contains(c.x, c.y + r)
-            )
-            if not ok:
-                raise DomainError("circle contour exits the domain rectangle")
+            (cx, cy), r = self.center.as_tuple(), self.radius
+            points = [(cx - r, cy), (cx + r, cy), (cx, cy - r), (cx, cy + r)]
         else:
-            for p in self.vertices:
-                if not domain.contains(p.x, p.y):
-                    raise DomainError(f"polyline vertex ({p.x}, {p.y}) outside the domain")
+            points = [p.as_tuple() for p in self.vertices]
+        for x, y in points:
+            if not d.contains(x, y):
+                rect = f"[{d.x_min:g}, {d.x_max:g}] x [{d.y_min:g}, {d.y_max:g}]"
+                raise DomainError(f"{self.kind} point ({x:g}, {y:g}) lies outside {rect}")
 
 
 def line_integral_dz(g: Field, gamma: Contour) -> complex:
@@ -216,15 +216,9 @@ def line_integral_dz(g: Field, gamma: Contour) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def compatibility_check(Phi: Field, which: str) -> float:
-    """Max sampled |d_y Phi1 -/+ d_x Phi2| for which = casirot / casirot_plus."""
-    if which == "casirot":
-        resid = Phi.re.dy() - Phi.im.dx()
-    elif which == "casirot_plus":
-        resid = Phi.re.dy() + Phi.im.dx()
-    else:
-        raise ParameterError(f"unknown compatibility condition {which!r}")
-    return max_abs(resid)
+def compatibility_check(Phi: Field) -> float:
+    """Max sampled |d_y Phi1 - d_x Phi2|: zero where Phi = d_zbar of a real field."""
+    return max_abs(Phi.re.dy() - Phi.im.dx())
 
 
 def _tensor_grid(x: np.ndarray, y: np.ndarray) -> bool:
@@ -360,8 +354,8 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     return out
 
 
-def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
-    """2*(int_{x0}^{x} Phi1(s, y) ds + sign * int_{y0}^{y} Phi2(x0, s) ds) + c.
+def _l_path_value(Phi: Field, cfg: AntiderivativeConfig):
+    """2*(int_{x0}^{x} Phi1(s, y) ds + int_{y0}^{y} Phi2(x0, s) ds).
 
     On a tensor grid the rows share the targets (``_along``); a sorted, distinct
     row of abscissae against a sorted, distinct column of ordinates, as
@@ -374,7 +368,6 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     """
     phi1, phi2, d = Phi.re, Phi.im, Phi.domain
     x0, y0 = cfg.base.x, cfg.base.y
-    c = cfg.constant_c
     kept = {}  # points -> values, oldest first
 
     def on_mesh(x, y):
@@ -391,20 +384,17 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
         else:
             yi = yi.reshape(y.shape)
             i1, i2 = i1[yi, xi.reshape(x.shape)], i2[yi]
-        i1 += sign * i2
+        i1 += i2
         i1 *= 2.0
-        i1 += c
         return i1
 
     def at_points(x, y):
         x, y = np.broadcast_arrays(x, y)
-        if np.all((x == x0) & (y == y0)):  # both segments have zero length
-            return np.full(x.shape, c)
         yx = np.stack([y.ravel(), x.ravel()], axis=1).view(complex).ravel()  # y + ix, exactly
         points, back = np.unique(yx, return_inverse=True)  # a row per point, by y, then x
         i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, points.imag[:, None], points.real)
         i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, points.real[:, None], np.full(points.size, x0))
-        return (2.0 * (i1 + sign * i2) + c)[back].reshape(x.shape)
+        return (2.0 * (i1 + i2))[back].reshape(x.shape)
 
     def value(x, y):
         x = np.asarray(x, float)
@@ -422,35 +412,29 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig, sign: float):
     return value
 
 
-def _antiderivative(Phi: Field, cfg: AntiderivativeConfig, sign: float, name: str) -> Field:
-    """Expression field whose values come from L-path quadrature and whose
-    partials are the exact d_x phi = 2 Phi1, d_y phi = sign * 2 Phi2."""
+def _antiderivative(Phi: Field, cfg: AntiderivativeConfig, what: str, name: str) -> Field:
+    """op_Abar, its compatibility condition named ``what``: a leaf whose values come
+    from L-path quadrature and whose partials are the exact d_x phi = 2 Phi1 and
+    d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature."""
+    if not Phi.domain.contains(cfg.base.x, cfg.base.y):
+        raise ParameterError(f"{name}: base point {cfg.base} lies outside the rectangle")
+    require_at_most(compatibility_check(Phi), COMPAT_TOL, CompatibilityError, what)
     leaf = ex.Given(
-        _l_path_value(Phi, cfg, sign),
+        _l_path_value(Phi, cfg),
         lambda: (2.0 * Phi.re).expr,
-        lambda: (2.0 * sign * Phi.im).expr,
+        lambda: (2.0 * Phi.im).expr,
         f"{name}[Phi]",
     )
     return Field(Phi.domain, leaf)
 
 
 def op_Abar(Phi: Field, cfg: AntiderivativeConfig) -> Field:
-    """Reconstruct the real field phi with d_zbar(phi) = Phi, up to the constant c.
-
-    Requires d_y Phi1 - d_x Phi2 = 0 within COMPAT_TOL.  The returned
-    field carries the analytically exact partials d_x phi = 2 Phi1 and
-    d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature.
-    """
-    require_at_most(compatibility_check(Phi, "casirot"), COMPAT_TOL, CompatibilityError, "casirot")
-    return _antiderivative(Phi, cfg, +1.0, "op_Abar")
+    """The real field phi with d_zbar(phi) = Phi and phi(base) = 0, for a base in
+    Phi's rectangle and d_y Phi1 - d_x Phi2 = 0 within COMPAT_TOL ("casirot")."""
+    return _antiderivative(Phi, cfg, "casirot", "op_Abar")
 
 
 def op_A(Phi: Field, cfg: AntiderivativeConfig) -> Field:
-    """Reconstruct the real field phi with d_z(phi) = Phi, up to the constant c.
-
-    Requires d_y Phi1 + d_x Phi2 = 0 within COMPAT_TOL.  Exact partials:
-    d_x phi = 2 Phi1, d_y phi = -2 Phi2.
-    """
-    which = "casirot_plus"
-    require_at_most(compatibility_check(Phi, which), COMPAT_TOL, CompatibilityError, which)
-    return _antiderivative(Phi, cfg, -1.0, "op_A")
+    """The real field phi with d_z(phi) = Phi and phi(base) = 0: op_Abar of conj(Phi),
+    as d_zbar(phi) = conj(Phi) for real phi, gated by d_y Phi1 + d_x Phi2 = 0 ("casirot_plus")."""
+    return _antiderivative(Phi.conj(), cfg, "casirot_plus", "op_A")

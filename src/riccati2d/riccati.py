@@ -71,7 +71,7 @@ def log_derivative(u: Field) -> Field:
 
 
 def exp_reconstruct(Q: Field, prob: RiccatiProblem) -> Field:
-    """u = exp of the d_z-antiderivative of Q; normalized so u(base) = e^c."""
+    """u = exp of the d_z-antiderivative of Q; normalized so u(base) = 1."""
     return exp_field(op_A(Q, prob.cfg))
 
 
@@ -100,7 +100,7 @@ def darboux_v_from_u(u: Field, f: Field, prob: RiccatiProblem) -> Field:
     """Conjugate partner v of u with respect to the generator f.
 
     v = (1/f) * Abar(i f^2 d_zbar(u/f)); unique up to an additive c/f, fixed
-    here by the base-point convention v(base) = c / f(base).
+    here by the base-point convention v(base) = 0.
     """
     check_nonvanishing(f, "f")
     arg = 1j * (d_zbar(u / f) * (f * f))

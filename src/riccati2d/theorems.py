@@ -281,7 +281,7 @@ def euler_second_baseline(
     dz = xg + 1j * yg - complex(z0.x, z0.y)
 
     w_re = W.re(xg, yg)
-    _require_region_nonzero(w_re, xg, yg, "Re W")
+    require_above(w_re, PAIR_DEGENERACY_EPS, ZeroSetError, "Re W", (xg, yg))
     wz = d_z(W)(xg, yg)
     q_exact = 0.5 * wz / w_re
 
@@ -298,7 +298,7 @@ def euler_second_baseline(
             s_prime += degree * a * dz ** (degree - 1)
         if degree < retained[0]:
             continue
-        _require_region_nonzero(s_n.real, xg, yg, f"Re S_{degree}")
+        require_above(s_n.real, PAIR_DEGENERACY_EPS, ZeroSetError, f"Re S_{degree}", (xg, yg))
         q_n = 0.5 * s_prime / s_n.real
         residual = float(np.max(np.abs(q_n - q_exact)))
         table.append((float(degree), residual))
@@ -306,9 +306,3 @@ def euler_second_baseline(
         name="euler2-baseline", residual=residual, tolerance=tolerance, refinement_table=table
     )
 
-
-def _require_region_nonzero(values: np.ndarray, xg, yg, name: str) -> None:
-    k = int(np.argmin(np.abs(values)))
-    m = float(np.abs(values.flat[k]))
-    if not m > PAIR_DEGENERACY_EPS:
-        raise ZeroSetError(name, m, PAIR_DEGENERACY_EPS, (float(xg.flat[k]), float(yg.flat[k])))

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riccati2d
 from riccati2d import ConfigError, DomainSpec, ExprField, read_grid_csv, write_grid_csv
@@ -116,9 +118,9 @@ def test_oracle_spec_validated_at_parse_time(spec):
         ("tolerance = inf", "tolerance = 1e300", 2),
         ("tolerance = nan", "tolerance = 1e-300", 2),
         ("w = zpow 128", "w = zpow 127", 2),
-        (
-            "contour = polyline " + " ".join(f"{k % 2} {k % 3}" for k in range(1025)),
-            "contour = polyline " + " ".join(f"{k % 2} {k % 3}" for k in range(1024)),
+        (  # vertices inside the default rectangle [-1.2, 1.2]^2
+            "contour = polyline " + " ".join(f"{k % 2} {k % 3 / 2}" for k in range(1025)),
+            "contour = polyline " + " ".join(f"{k % 2} {k % 3 / 2}" for k in range(1024)),
             2,
         ),
     ],
@@ -201,6 +203,25 @@ def test_lpath_contour_rejected():
         parse_config("case = cauchy-riccati\ncontour = lpath 1 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("case = laplace-reductions\ncontour = circle 0 0 5\n", 2),
+        ("case = all\ncontour = polyline -0.5 -0.5 0.6 -0.4 0.1 1.7 -0.5 -0.5\n", 2),
+        ("case = cauchy-schrodinger\ndomain = -0.5 0.5 -0.5 0.5\n", 2),  # the default circle
+    ],
+    ids=["circle", "polyline-vertex", "default-contour"],
+)
+def test_contour_outside_its_rectangle_is_a_config_error(tmp_path, text, line):
+    """A contour case integrates on the domain line's rectangle, else on [-1.2, 1.2]^2;
+    a contour that leaves it is rejected at its line (or the domain's), with exit 2."""
+    with pytest.raises(ConfigError, match="contour") as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert main(["--config", write(tmp_path, "contour.cfg", text)]) == 2
+    parse_config("case = darboux\ncontour = circle 0 0 5\n")  # darboux integrates no contour
+
+
 # ---------------------------------------------------------------------------
 # run / report
 # ---------------------------------------------------------------------------
@@ -274,6 +295,51 @@ def test_quadrature_error_is_a_failure_entry(tmp_path, monkeypatch):
     assert "did not converge within 16384 panels" in entry["reason"]
     out = str(tmp_path / "r.json")
     assert main(["--config", write(tmp_path, "q.cfg", text), "--out", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, error, reason",
+    [
+        (
+            "case = laplace-reductions\ndomain = -1 1 -1 1 41 41\nf = x - 0.01\n",
+            "NonvanishingError",
+            "f must be nonvanishing: sampled min |f| = 0.000e+00 at (0.01",
+        ),
+        (
+            "case = euler2-baseline\ndomain = 1 2 0 1\nz0 = 1.5 0.5\nw = zpow 3\n",
+            "ZeroSetError",
+            "Re W vanishes in the region: min |Re W| = 0.000e+00 at (1.039",
+        ),
+    ],
+    ids=["laplace-f", "euler2-re-w"],
+)
+def test_a_zero_between_samples_fails_its_gate(text, error, reason):
+    """f = x - 0.01 and Re z^3 are nonzero at every node but change sign between two:
+    the gate names the hypothesis and the zero between them (both passed it before)."""
+    entry = run(parse_config(text))["identities"][0]
+    assert entry["error_type"] == error and entry["reason"].startswith(reason)
+    assert entry["pass"] is False
+
+
+_PERMUTED_CONFIGS = (
+    "case = darboux\ndomain = 0 1 0 1 11 11\nbase = 0.3 0.4\nu = exp(0.6*x+0.8*y)\n"
+    "f = exp(x)\nnu = 1\ntolerance = 1e-9\n# a comment\n",
+    "case = cauchy-riccati\noracle = exp_family nu=1 theta=0.3\n"
+    "oracle_b = exp_family nu=1 theta=2.0\ncontour = circle 0.1 0 0.5 32\nrefine = 1\n",
+)
+
+
+def _identities(text):
+    return mask_timings(run(parse_config(text)))["identities"]
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_permuted_config_lines_give_the_same_identities(data):
+    """Config lines are key = value pairs, so their order changes no masked identity."""
+    text = data.draw(st.sampled_from(_PERMUTED_CONFIGS))
+    lines = data.draw(st.permutations(text.splitlines()))
+    assert _identities("\n".join(lines) + "\n") == _identities(text)
 
 
 def test_determinism_modulo_timings():

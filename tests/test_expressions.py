@@ -272,3 +272,32 @@ def test_evaluate_is_batch_invariant(steps):
             assert np.array_equal(np.broadcast_to(value, (1,)), batch[k : k + 1], equal_nan=True)
             prefix, _ = _outcome(run, x[: k + 1], y[: k + 1])
             assert np.array_equal(np.broadcast_to(prefix, (k + 1,)), batch[: k + 1], equal_nan=True)
+
+
+_NONZERO = st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-3)
+_OPERANDS = [
+    ex.X,
+    ex.X * ex.Y,
+    ex.Exp(ex.X) * ex.Y,
+    2.5 * ex.Sin(ex.Y),
+    ex.X + 1j * ex.Y,
+    ex.Exp(1j * ex.X) * ex.Y,
+    (0.5 - 0.75j) * ex.Cos(ex.X),
+]
+
+
+@given(
+    c=st.one_of(_NONZERO, st.builds(complex, _NONZERO, _NONZERO)),
+    b=st.sampled_from(_OPERANDS),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_negation_folds_a_constant_factor_exactly(c, b):
+    """neg(c * b) is (-c) * b, which evaluates bit for bit as -1.0 * (c * b) for
+    real and complex c and b with nonzero parts: IEEE rounding is symmetric."""
+    product = ex.mul(ex.Const(c), b)
+    if isinstance(product, ex.Mul) and isinstance(product.a, ex.Const):
+        assert isinstance(ex.neg(product), ex.Mul) and ex.neg(product).b is product.b
+    x, y = _BATCH
+    got = np.asarray(ex.evaluate(ex.neg(product), x, y))
+    want = np.asarray(ex.evaluate(ex.Mul(ex.Const(-1.0), product), x, y))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

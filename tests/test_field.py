@@ -16,6 +16,7 @@ from riccati2d import (
     ParameterError,
     Point,
     ResolutionError,
+    ZeroSetError,
     check_nonvanishing,
     compatibility_check,
     constant_field,
@@ -207,7 +208,7 @@ def test_grid_second_derivatives_are_order_two_on_the_whole_rectangle():
         dom = DomainSpec(0.0, 1.0, 0.0, 1.0, n, n)
         u = ExprField(dom, "exp(0.6*x + 0.8*y)").to_grid()
         f = ExprField(dom, "exp(x)")
-        errs.append(compatibility_check(1j * (d_zbar(u / f) * (f * f)), "casirot"))
+        errs.append(compatibility_check(1j * (d_zbar(u / f) * (f * f))))
     orders = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
     assert min(orders) >= 1.7, (errs, orders)
 
@@ -321,6 +322,21 @@ def test_check_nonvanishing(unit_square):
     with pytest.raises(NonvanishingError) as err:
         check_nonvanishing(ExprField(unit_square, "x*y"), "f")
     assert "f" in str(err.value)
+
+
+def test_a_sign_change_between_samples_fails_the_gate(unit_square):
+    """x - 0.51 is at least 0.01 at every node, but it changes sign between x = 0.5
+    and 0.525: a real field that does so has a zero there, and the gate names it."""
+    with pytest.raises(NonvanishingError) as err:
+        check_nonvanishing(ExprField(unit_square, "x - 0.51"), "f")
+    assert (err.value.what, err.value.value) == ("f", 0.0)
+    assert err.value.at == pytest.approx((0.51, 0.0), abs=1e-12)
+    xg, yg = unit_square.mesh()  # samples as an array, a sign change along y
+    with pytest.raises(ZeroSetError) as err:
+        field_module.require_above(yg - 0.51, 1e-8, ZeroSetError, "g", (xg, yg))
+    assert err.value.value == 0.0 and err.value.at == pytest.approx((0.0, 0.51), abs=1e-12)
+    check_nonvanishing(ExprField(unit_square, "x + 0.01"), "f")  # no sign change
+    check_nonvanishing(ExprField(unit_square, "x - 0.51") + 1j, "f")  # complex: |f| >= 1
 
 
 def test_grid_csv_roundtrip(tmp_path, unit_square):

@@ -90,6 +90,8 @@ def test_harmonic_values():
 def test_harmonic_zero_set_rejected():
     with pytest.raises(ParameterError):
         harmonic_family("translate", 1, Point(0.5, 0.0))  # u = x - 0.5 vanishes
+    with pytest.raises(ParameterError):  # at no node, but between x = 0.5 and 0.525
+        harmonic_family("translate", 1, Point(0.51, 0.0))
 
 
 def test_harmonic_rejects_bad_kind_and_degree():

@@ -15,6 +15,7 @@ from riccati2d import (
     ContourError,
     DomainSpec,
     ExprField,
+    ParameterError,
     Point,
     QuadratureError,
     compatibility_check,
@@ -178,13 +179,32 @@ def test_non_finite_target_raises():
 
 
 def test_compatibility_check_pass_and_fail(unit_square):
+    """The one condition d_y Phi1 - d_x Phi2 = 0 gates op_Abar of Phi, and op_A of
+    Phi through conj(Phi): y + ix passes the first and fails the second."""
     ok = ComplexField(ExprField(unit_square, ex.X), ExprField(unit_square, ex.ZERO))
-    assert compatibility_check(ok, "casirot") < 1e-14
+    assert compatibility_check(ok) < 1e-14
     bad = ComplexField(ExprField(unit_square, ex.Y), ExprField(unit_square, ex.ZERO))
-    assert compatibility_check(bad, "casirot") == pytest.approx(1.0)
+    assert compatibility_check(bad) == pytest.approx(1.0)
     cfg = AntiderivativeConfig(Point(0, 0))
     with pytest.raises(CompatibilityError):
         op_Abar(bad, cfg)
+    mixed = ComplexField(ExprField(unit_square, ex.Y), ExprField(unit_square, ex.X))
+    assert compatibility_check(mixed) == 0.0
+    assert compatibility_check(mixed.conj()) == pytest.approx(2.0)
+    op_Abar(mixed, cfg)
+    with pytest.raises(CompatibilityError):
+        op_A(mixed, cfg)
+
+
+def test_base_outside_the_rectangle_raises(unit_square):
+    """The L-path from a base outside Phi's rectangle leaves it, where a grid leaf
+    is clamped: x*y + 0.5 on [0, 1]^2 with base (5, 5) read -6.75 at (0.5, 0.5)
+    against the closed form's -24.75."""
+    g = ExprField(unit_square, "x*y + 0.5").to_grid()
+    cfg = AntiderivativeConfig(Point(5.0, 5.0))
+    for op, name in ((op_A, "op_A"), (op_Abar, "op_Abar")):
+        with pytest.raises(ParameterError, match=f"{name}: base point .* outside the rectangle"):
+            op(d_z(g), cfg)
 
 
 def test_abar_constant_imaginary_gives_y(unit_square):
@@ -229,9 +249,12 @@ def test_abar_partials_are_exact(unit_square):
 
 
 def test_constant_c_offsets_result(unit_square):
-    cfg = AntiderivativeConfig(unit_square.base, constant_c=3.5)
+    """The operators vanish at the base; a constant c is added to their field."""
+    cfg = AntiderivativeConfig(unit_square.base)
     phi = op_Abar(constant_field(0.5j, unit_square), cfg)
-    assert phi.evaluate(Point(0.0, 0.0)) == pytest.approx(3.5, abs=1e-12)
+    assert phi.evaluate(Point(0.0, 0.0)) == 0.0
+    assert (phi + 3.5).evaluate(Point(0.0, 0.0)) == 3.5
+    assert (phi + 3.5).evaluate(Point(0.3, 0.6)) == pytest.approx(4.1, abs=1e-12)
 
 
 def test_a_point_takes_its_own_panels(unit_square, monkeypatch):
@@ -253,9 +276,9 @@ def test_a_point_takes_its_own_panels(unit_square, monkeypatch):
 
 def test_path_independence(unit_square):
     """Explicit polyline paths reproduce the L-path values for compatible forms:
-    op_Abar[Phi] = 2 Re int conj(Phi) dz + c and op_A[Phi] = 2 Re int Phi dz + c
+    op_Abar[Phi] + c = 2 Re int conj(Phi) dz + c and op_A[Phi] + c = 2 Re int Phi dz + c
     along any path from the base."""
-    cfg = AntiderivativeConfig(unit_square.base, constant_c=0.5)
+    cfg, c = AntiderivativeConfig(unit_square.base), 0.5
     envelope = ex.Exp(ex.Const(1.6) * ex.X + ex.Const(0.8) * ex.Y)
     Phi = ComplexField(
         ExprField(unit_square, ex.Const(-0.4) * envelope),
@@ -263,7 +286,7 @@ def test_path_independence(unit_square):
     )
     d_z_phi = d_z(ExprField(unit_square, "exp(1.6*x + 0.8*y)*cos(x - 2*y)"))
     end = (0.9, 0.7)
-    for leaf, form in ((op_Abar(Phi, cfg), Phi.conj()), (op_A(d_z_phi, cfg), d_z_phi)):
+    for leaf, form in ((op_Abar(Phi, cfg) + c, Phi.conj()), (op_A(d_z_phi, cfg) + c, d_z_phi)):
         want = leaf.evaluate(Point(*end))
         for waypoints in (
             [(0, 0), end],
@@ -271,7 +294,7 @@ def test_path_independence(unit_square):
             [(0, 0), (0.2, 0.65), (0.5, 0.1), end],
         ):
             path = Contour.polyline(waypoints, n_per_segment=64)
-            got = 2.0 * line_integral_dz(form, path).real + cfg.constant_c
+            got = 2.0 * line_integral_dz(form, path).real + c
             assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -288,12 +311,12 @@ def test_vanishing_partial_skips_quadrature(monkeypatch):
 
 def test_nested_leaf_at_its_base_evaluates_nothing(monkeypatch):
     """Both segments of the L-path to the base have zero length: a nested leaf
-    there is its constant c, and neither it nor the leaf in its integrand is
-    evaluated."""
+    there is 0, so the leaf plus c is c, and neither it nor the leaf in its
+    integrand is evaluated."""
     points = _count_integrand(monkeypatch)
     inner = _nested(5, 5, [(0.37, 0.41)])
-    cfg = AntiderivativeConfig(Point(0.37, 0.41), constant_c=0.25)
-    outer = op_A(d_z(inner * ExprField(inner.domain, "1 + 0.3*x*y")), cfg)
+    cfg = AntiderivativeConfig(Point(0.37, 0.41))
+    outer = op_A(d_z(inner * ExprField(inner.domain, "1 + 0.3*x*y")), cfg) + 0.25
     points.clear()
     assert outer.evaluate(cfg.base) == 0.25
     assert np.array_equal(outer(np.full(3, 0.37), np.full(3, 0.41)), np.full(3, 0.25))

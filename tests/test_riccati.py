@@ -33,6 +33,7 @@ from riccati2d import (
     laplacian,
     log_derivative,
     max_abs,
+    op_A,
     op_Abar,
     perturb,
     picard_identity,
@@ -236,6 +237,9 @@ def _pinned_inputs(square):
         "compatible": lambda: op_Abar(
             ComplexField(ExprField(square, "y"), ExprField(square, "0")), prob.cfg
         ),
+        "compatible-plus": lambda: op_A(
+            ComplexField(ExprField(square, "y"), ExprField(square, "x")), prob.cfg
+        ),
         "nonvanishing": lambda: check_nonvanishing(ExprField(square, "x*y"), "f"),
         "denominator": lambda: log_derivative(ExprField(square, "x - 0.5")),
         "region": lambda: euler_second_baseline(
@@ -259,6 +263,13 @@ _PINNED_GATES = [
         "compatibility condition casirot violated: max residual 1.000e+00 "
         "exceeds tolerance 1.000e-08",
         ("casirot", 1.0, 1e-8, None),
+    ),
+    (  # op_A(Phi) is op_Abar(conj(Phi)), whose condition is named for Phi
+        "compatible-plus",
+        CompatibilityError,
+        "compatibility condition casirot_plus violated: max residual 2.000e+00 "
+        "exceeds tolerance 1.000e-08",
+        ("casirot_plus", 2.0, 1e-8, None),
     ),
     (
         "nonvanishing",
