@@ -15,6 +15,12 @@ factor or real denominator, and go through ``Conj``; so the parts of
 ``a + 1j*b`` are a's and b's own trees.  Text is parsed by Python's ``ast``
 module; a whitelist maps the allowed nodes onto the trees.
 
+Nodes are interned: a constructor returns the live node of its class on the
+same operands (nodes by identity, numbers by type and bits: 0.0 is not -0.0),
+and a ``Given`` leaf is always new; so equal trees are one object, and ``==``
+and ``hash`` are identity.  ``add`` folds c*X + (-c)*X, one X and a finite c,
+to ``ZERO``, which reads 0 even where c*X overflows or a quotient in X is singular.
+
 Differentiation reuses its operands, so derivatives are DAGs: ``diff`` is
 memoised per node and variable.  ``evaluate`` is the one way to evaluate a
 tree: it runs the tree's flat plan, built once and kept on its root, which
@@ -30,7 +36,9 @@ import functools
 import math
 import operator
 import re
+import struct
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,10 +68,31 @@ def _check_denominator(node, den) -> None:
         raise SingularityError(f"denominator {node} has |value| < {SINGULARITY_EPS:g}")
 
 
+def _value_key(v):
+    """An operand that is no node: a number by its type and bits as ``Const`` stores it."""
+    if isinstance(v, complex) and not v.imag:
+        v = v.real
+    if isinstance(v, (float, complex)):
+        return type(v), struct.pack("<dd", v.real, v.imag)
+    return type(v), v
+
+
+# (class, operand keys) -> the live node, which holds its operands, so no key's id is reused
+_NODES = weakref.WeakValueDictionary()
+
+
 class Expr:
     """Base node.  Subclasses implement ``diff`` and ``_emit``, which states the
     node's operation; the plan, ``is_real`` and memoised derivatives are
     cached on the node."""
+
+    def __new__(cls, *args):
+        """The live node of ``cls`` on these operands, else a new one; a ``Given``, or a
+        bare node that ``copy`` or ``pickle`` fills in later, is always new."""
+        if cls is Given or not args:
+            return super().__new__(cls)
+        key = (cls, *[id(a) if isinstance(a, Expr) else _value_key(a) for a in args])
+        return _NODES.setdefault(key, super().__new__(cls))  # a hit drops the bare node
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
@@ -121,7 +150,7 @@ class Expr:
         return powi(self, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float | complex
 
@@ -140,7 +169,7 @@ class Const(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str  # "x" or "y"
 
@@ -154,7 +183,7 @@ class Var(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
@@ -170,7 +199,7 @@ class Add(Expr):
         return f"({self.a} + {self.b})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
@@ -186,7 +215,7 @@ class Mul(Expr):
         return f"({self.a} * {self.b})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
@@ -206,7 +235,7 @@ class Div(Expr):
         return f"({self.a} / {self.b})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -224,7 +253,7 @@ class Pow(Expr):
         return f"({self.base}**{self.exponent})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Given(Expr):
     """Leaf with an evaluation rule and partials built by ``dx()``, ``dy()``,
     each once, at its first ``diff``.
@@ -252,7 +281,7 @@ class Given(Expr):
 def _unary(np_fn, symbol, rule):
     """Factory for the one-argument nodes; ``rule(arg, d_arg)`` is the derivative."""
 
-    @dataclass(frozen=True)
+    @dataclass(frozen=True, eq=False)
     class _Node(Expr):
         arg: Expr
 
@@ -335,6 +364,11 @@ def _is_const(e: Expr, value=None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
+def _term(e: Expr) -> tuple:
+    """``e`` as a constant factor and a node: (c, b) for c * b, else (1.0, e)."""
+    return (e.a.value, e.b) if isinstance(e, Mul) and isinstance(e.a, Const) else (1.0, e)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return b
@@ -342,6 +376,9 @@ def add(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
+    (ca, xa), (cb, xb) = _term(a), _term(b)
+    if xa is xb and ca == -cb and np.isfinite(ca):  # c X + (-c) X is +0 for finite c X
+        return ZERO
     return Add(a, b)
 
 

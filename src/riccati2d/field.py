@@ -15,7 +15,8 @@ Data outside the expression grammar enters as ``Given`` leaves:
   second derivative; central in the interior, one-sided at the boundary).
 
 Every hypothesis gate of the package samples a field on its own mesh and makes
-one comparison that NaN fails: ``require_at_most`` bounds max |f| and
+one comparison that NaN fails: ``require_at_most`` bounds max |f| (``max_abs``
+reduces the tree's value before broadcasting it, so a constant costs one number) and
 ``require_above`` bounds min |f| from below, naming where the minimum lies; real
 samples that change sign between neighbours have a zero between them, so their
 min |f| is 0.  A failed gate raises the ``GateError`` subclass its caller names.
@@ -342,7 +343,7 @@ def gradient_norm_ratio(f: Field) -> Field:
 
 
 def max_abs(f: Field, nx=None, ny=None, margin: int = 0) -> float:
-    return float(np.max(np.abs(f.sample(nx, ny, margin))))
+    return float(np.max(np.abs(ex.evaluate(f.expr, *f.domain.axes(nx, ny, margin)))))
 
 
 def _sign_change(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:

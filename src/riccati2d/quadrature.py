@@ -271,6 +271,8 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     target on a panel's edge is that edge's sum.
     """
     across = np.ravel(across)
+    if np.all(targets == start):  # nothing to integrate
+        return np.zeros((across.size, targets.shape[-1]))
     each, step = targets.ndim == 2, _MAX_BATCH // (15 * 16)  # 16 panels a row in one chunk
     if each and across.size > step:
         rows = (slice(row, row + step) for row in range(0, across.size, step))

@@ -348,6 +348,29 @@ def test_determinism_modulo_timings():
     assert a == b
 
 
+# every named case alone, and darboux with u and f as the darboux-mesh benchmark draws them
+_DETERMINISM_CONFIGS = [f"case = {case}\n" for case in CASES if case != "all"] + [
+    "case = darboux\ndomain = 0 1 0 1 41 41\nu = exp(0.6394636980817737*x + 0.7688212918719032*y)\n"
+    "f = exp(0.7907395085077042*x + -0.6121527829594458*y)\n"
+]
+
+
+def test_reports_do_not_depend_on_what_ran_before():
+    """Interned expression nodes live as long as any tree holds them, so a run may
+    reuse the nodes, derivatives and plans of an earlier one: each config gives
+    the same masked report bytes when run twice in a row and again in reverse order."""
+
+    def reports(configs):
+        return {
+            text: json.dumps(mask_timings(run(parse_config(text))), indent=2, allow_nan=False)
+            for text in configs
+        }
+
+    first, again = reports(_DETERMINISM_CONFIGS), reports(_DETERMINISM_CONFIGS)
+    assert again == first
+    assert reports(reversed(_DETERMINISM_CONFIGS)) == first
+
+
 def test_refine_extends_refinement_table():
     cfg = parse_config("case = cauchy-riccati\nrefine = 2\n")
     table = run(cfg)["identities"][0]["refinement"]

@@ -1,4 +1,5 @@
 """Expression tree: parsing, evaluation, exact differentiation, folding."""
+import copy
 import functools
 import math
 import re
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccati2d import DomainSpec, ExprField, ExpressionError, Point, SingularityError, analytic_power
+from riccati2d import (
+    DomainSpec,
+    ExprField,
+    ExpressionError,
+    GridField,
+    Point,
+    SingularityError,
+    analytic_power,
+)
 from riccati2d import expressions as ex
 from riccati2d.expressions import parse_expression
 
@@ -301,3 +310,63 @@ def test_negation_folds_a_constant_factor_exactly(c, b):
     got = np.asarray(ex.evaluate(ex.neg(product), x, y))
     want = np.asarray(ex.evaluate(ex.Mul(ex.Const(-1.0), product), x, y))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# the antiderivative-mesh benchmark's phi, whose mixed partials are one computation
+_PHI = "sin(7*x)*cosh(3*y) + x*cos(9*y)"
+
+
+def test_equal_trees_are_one_node():
+    """Nodes are interned: structurally equal trees are one object, built apart or not."""
+    phi = parse_expression(_PHI)
+    assert parse_expression(_PHI) is phi
+    assert ex.Sin(ex.mul(ex.Const(7.0), ex.X)) is parse_expression("sin(7*x)")
+    assert phi.diff("x").diff("y") is phi.diff("y").diff("x")
+    assert ex.Const(1.0 + 0.0j) is ex.Const(1.0) and isinstance(ex.Const(1.0 + 0.0j).value, float)
+    assert ex.Const(math.nan) is ex.Const(math.nan)
+    assert ex.Const(0.0) is not ex.Const(-0.0)
+    assert math.copysign(1.0, ex.Const(-0.0).value) == -1.0
+    assert ex.Const(0.0) != ex.Const(-0.0) and ex.X == ex.Var("x")  # == is identity
+
+
+def test_given_leaves_are_never_merged():
+    """Two leaves with one rule, or two grids of the same samples, stay two leaves."""
+    fn, zero = (lambda x, y: x + y), (lambda: ex.ZERO)
+    assert ex.Given(fn, zero, zero, "g") is not ex.Given(fn, zero, zero, "g")
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, 5, 5)
+    samples = np.arange(25.0).reshape(5, 5)
+    a, b = GridField(domain, samples), GridField(domain, samples)
+    assert a.expr is not b.expr and (a - b).expr is not ex.ZERO
+    assert (a - a).expr is ex.ZERO
+
+
+@given(c=st.one_of(_NONZERO, st.builds(complex, _NONZERO, _NONZERO)), b=st.sampled_from(_OPERANDS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_sum_of_opposite_multiples_folds_to_zero(c, b):
+    """c X + (-c) X is ZERO when X is one node; its evaluation is exactly +0 on
+    finite values, so the fold changes no value there."""
+    term, opposite = ex.mul(ex.Const(c), b), ex.mul(ex.Const(-c), b)
+    assert ex.add(term, opposite) is ex.ZERO and ex.add(opposite, term) is ex.ZERO
+    assert ex.add(b, ex.neg(b)) is ex.ZERO and (term - term) is ex.ZERO
+    x, y = _BATCH
+    values = np.asarray(ex.evaluate(ex.Add(term, opposite), x, y))
+    assert np.all(values == 0) and not np.any(np.signbit(values.real))
+
+
+def test_fold_needs_one_node_and_finite_opposite_constants():
+    """No fold for different nodes, unequal constants, or a NaN or infinite constant,
+    whose sum is NaN, not 0."""
+    assert ex.add(ex.X, ex.neg(ex.Y)) is not ex.ZERO
+    assert ex.add(2.0 * ex.X, -3.0 * ex.X) is not ex.ZERO
+    for c in (math.nan, math.inf, complex(1.0, math.inf)):
+        residual = ex.add(ex.mul(ex.Const(c), ex.X), ex.mul(ex.Const(-c), ex.X))
+        assert isinstance(residual, ex.Add)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(ex.evaluate(residual, 0.5, 0.0))
+
+
+def test_copies_keep_their_operands():
+    """``copy`` builds a bare node and then fills it in: two copies stay two nodes."""
+    a, b = ex.Add(ex.X, ex.Y), ex.Add(ex.Y, ex.X)
+    copies = copy.copy(a), copy.deepcopy(b)
+    assert copies[0] is not copies[1] and [str(c) for c in copies] == ["(x + y)", "(y + x)"]

@@ -196,6 +196,57 @@ def test_compatibility_check_pass_and_fail(unit_square):
         op_A(mixed, cfg)
 
 
+def _evaluated_sizes(monkeypatch):
+    """A list that collects the size of every value ``expressions.evaluate`` returns."""
+    sizes = []
+    evaluate = ex.evaluate
+
+    def counting(*args):
+        out = evaluate(*args)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(ex, "evaluate", counting)
+    return sizes
+
+
+def test_cancelling_compatibility_residual_is_not_sampled(monkeypatch):
+    """For Phi = d_z phi the residual of conj(Phi) is phi_xy - phi_yx; where the
+    two mixed partials are one node, it folds to ZERO and op_A's gate evaluates
+    one number instead of the mesh, with the same tolerance and the same error."""
+    domain = DomainSpec(0.0, 3.0, 0.0, 3.0, 201, 201, Point(0.0, 0.0))
+    Phi = d_z(ExprField(domain, "sin(7*x)*cosh(3*y) + x*cos(9*y)"))
+    assert (Phi.conj().re.dy() - Phi.conj().im.dx()).expr is ex.ZERO
+    sizes = _evaluated_sizes(monkeypatch)
+    assert compatibility_check(Phi.conj()) == 0.0
+    op_A(Phi, AntiderivativeConfig(domain.base))
+    assert sizes == [1, 1]
+    # exp(0.6x + 0.8y): (e 0.8) 0.6 against (e 0.6) 0.8 round apart, so it is sampled
+    sizes.clear()
+    op_A(d_z(ExprField(domain, "exp(0.6*x + 0.8*y)")), AntiderivativeConfig(domain.base))
+    assert sizes == [201 * 201]
+    bad = ComplexField(ExprField(domain, ex.Y), ExprField(domain, ex.ZERO))
+    with pytest.raises(CompatibilityError, match="casirot"):
+        op_Abar(bad, AntiderivativeConfig(domain.base))
+
+
+def test_darboux_gate_plans_share_equal_subtrees(monkeypatch):
+    """The darboux-mesh benchmark's 161^2 op: interned nodes make the plans of the
+    two compatibility gates 81 and 166 steps long (110 and 230 without interning)."""
+    steps = []
+    max_abs_ = quadrature.max_abs
+    monkeypatch.setattr(
+        quadrature, "max_abs", lambda f: steps.append(len(f.expr._plan)) or max_abs_(f)
+    )
+    text = (
+        "case = darboux\ndomain = 0 1 0 1 161 161\n"
+        "u = exp(0.6394636980817737*x + 0.7688212918719032*y)\n"
+        "f = exp(0.7907395085077042*x + -0.6121527829594458*y)\n"
+    )
+    assert run(parse_config(text))["overall_pass"]
+    assert len(steps) == 2 and steps[0] <= 81 and steps[1] <= 166
+
+
 def test_base_outside_the_rectangle_raises(unit_square):
     """The L-path from a base outside Phi's rectangle leaves it, where a grid leaf
     is clamped: x*y + 0.5 on [0, 1]^2 with base (5, 5) read -6.75 at (0.5, 0.5)
@@ -311,16 +362,25 @@ def test_vanishing_partial_skips_quadrature(monkeypatch):
 
 def test_nested_leaf_at_its_base_evaluates_nothing(monkeypatch):
     """Both segments of the L-path to the base have zero length: a nested leaf
-    there is 0, so the leaf plus c is c, and neither it nor the leaf in its
-    integrand is evaluated."""
+    there is exactly 0.0, so the leaf plus c is c, no round of panels runs, and
+    neither it nor the leaf in its integrand is evaluated."""
     points = _count_integrand(monkeypatch)
+    rounds = []
+    panel_values = quadrature._panel_values
+    monkeypatch.setattr(
+        quadrature, "_panel_values", lambda *args: rounds.append(1) or panel_values(*args)
+    )
     inner = _nested(5, 5, [(0.37, 0.41)])
     cfg = AntiderivativeConfig(Point(0.37, 0.41))
-    outer = op_A(d_z(inner * ExprField(inner.domain, "1 + 0.3*x*y")), cfg) + 0.25
+    leaf = op_A(d_z(inner * ExprField(inner.domain, "1 + 0.3*x*y")), cfg)
+    outer = leaf + 0.25
     points.clear()
+    rounds.clear()
+    at_base = leaf.evaluate(cfg.base)
+    assert at_base == 0.0 and not math.copysign(1.0, at_base) < 0
     assert outer.evaluate(cfg.base) == 0.25
     assert np.array_equal(outer(np.full(3, 0.37), np.full(3, 0.41)), np.full(3, 0.25))
-    assert points == []
+    assert points == [] and rounds == []
 
 
 # phi = sin(7x)cosh(3y) + x cos(9y) on [0, 3]^2: op_A(d_z phi) = phi - phi(0, 0)
