@@ -2,6 +2,7 @@
 stationary Schrodinger equation and a complex differential Riccati equation."""
 
 from .errors import (
+    Check,
     CompatibilityError,
     ConfigError,
     ContourError,
@@ -69,7 +70,6 @@ from .riccati import (
     vekua_residual,
 )
 from .theorems import (
-    IdentityResult,
     analytic_exp,
     analytic_power,
     cauchy_laplace_reductions,

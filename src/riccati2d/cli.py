@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
-from .errors import ConfigError, DomainError, ExpressionError, ToolkitError
+from .errors import Check, ConfigError, DomainError, ExpressionError, GateError, ToolkitError
 from .expressions import parse_expression
 from .field import (
     DomainSpec,
@@ -46,7 +46,6 @@ from .riccati import (
 )
 from .theorems import (
     TAYLOR_CIRCLE_NODES,
-    IdentityResult,
     analytic_exp,
     analytic_power,
     cauchy_laplace_reductions,
@@ -54,6 +53,7 @@ from .theorems import (
     cauchy_schrodinger,
     euler_second_baseline,
     picard_identity,
+    verdict,
 )
 
 _MAX_GRID_POINTS = 2**22  # nx * ny of a domain
@@ -234,8 +234,7 @@ def _oracle(
 
 
 # ---------------------------------------------------------------------------
-# Case runners.  Each takes (config, tolerance) and returns
-# (IdentityResult, fields-to-dump dict).
+# Case runners.  Each takes (config, tolerance) and returns (Check, fields to dump).
 # ---------------------------------------------------------------------------
 
 _UNIT_SQUARE = DomainSpec(0, 1, 0, 1, 41, 41, Point(0, 0))
@@ -255,13 +254,13 @@ def _default_problem(domain: DomainSpec, nu: Field) -> RiccatiProblem:
 
 
 def _run_riccati_residual(cfg: RunConfig, tol: float):
-    sol = _oracle(cfg, "oracle", "exp_family nu=1 theta=0.9272952180016123")
+    sol = _oracle(cfg, "oracle", "exp_family nu=1 theta=0.9272952180016123", cfg.domain)
     prob = sol.problem()
     Q = log_derivative(sol.u)
     resid = riccati_residual(Q, prob)
     residual = max(max_abs(resid), max_abs(schrodinger_residual(sol.u, prob)))
-    result = IdentityResult("riccati-residual", residual, tol, [(float(prob.domain.nx), residual)])
-    return result, {"riccati_residual_re": resid.re, "riccati_residual_im": resid.im}
+    check = verdict("riccati-residual", residual, tol, [(float(prob.domain.nx), residual)])
+    return check, {"riccati_residual_re": resid.re, "riccati_residual_im": resid.im}
 
 
 def _run_darboux(cfg: RunConfig, tol: float):
@@ -278,11 +277,11 @@ def _run_darboux(cfg: RunConfig, tol: float):
     alpha = (u_back.evaluate(domain.base) - u.evaluate(domain.base)) / f.evaluate(domain.base)
     r2 = max_abs(u_back - alpha * f - u, 21, 21)
     residual = max(r1, r2)
-    return IdentityResult("darboux", residual, tol, [(21.0, residual)]), {"darboux_conjugate": v}
+    return verdict("darboux", residual, tol, [(21.0, residual)]), {"darboux_conjugate": v}
 
 
 def _run_euler1(cfg: RunConfig, tol: float):
-    sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0")
+    sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0", cfg.domain)
     sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", sol0.domain)
     prob = sol0.problem()
     W = euler_first_W_from_Q(sol1.Q, sol0.Q, prob)
@@ -291,8 +290,8 @@ def _run_euler1(cfg: RunConfig, tol: float):
     Q_back = euler_first_Q_from_W(W)
     r2 = max_abs(Q_back - sol1.Q, 15, 15)
     residual = max(r1, r2)
-    result = IdentityResult("euler1", residual, tol, [(15.0, residual)])
-    return result, {"euler1_W_re": W.re, "euler1_W_im": W.im}
+    check = verdict("euler1", residual, tol, [(15.0, residual)])
+    return check, {"euler1_W_re": W.re, "euler1_W_im": W.im}
 
 
 def _run_euler2(cfg: RunConfig, tol: float):
@@ -344,9 +343,8 @@ def _run_laplace(cfg: RunConfig, tol: float):
     gamma, refine = cfg.contour, cfg.refine
     r1 = cauchy_laplace_reductions(u, gamma, kind="derivative", tolerance=tol, refine=refine)
     r2 = cauchy_laplace_reductions(f, gamma, kind="reciprocal", tolerance=tol, refine=refine)
-    residual = max(r1.residual, r2.residual)
-    table = r1.refinement_table + r2.refinement_table
-    return IdentityResult("laplace-reductions", residual, tol, table), {}
+    residual, table = max(r1.value, r2.value), r1.refinement + r2.refinement
+    return verdict("laplace-reductions", residual, tol, table), {}
 
 
 # case -> (runner, default tolerance); `case = all` runs them in name order
@@ -487,24 +485,14 @@ def run(cfg: RunConfig, dump_dir: Optional[str] = None) -> dict:
         tol = cfg.tolerance or default_tol
         start = time.perf_counter()
         try:
-            result, fields = runner(cfg, tol)
-            entry = result.to_dict()
-            entry["case"] = case
+            outcome, fields = runner(cfg, tol)
         except OSError:
             raise
         except Exception as exc:
             if not isinstance(exc, ToolkitError):  # a defect, not a verdict: keep its traceback
                 sys.excepthook(type(exc), exc, exc.__traceback__)
-            entry = {
-                "case": case,
-                "residual": None,
-                "tolerance": tol,
-                "pass": False,
-                "refinement": [],
-                "reason": str(exc),
-                "error_type": type(exc).__name__,
-            }
-            fields = {}
+            outcome, fields = exc, {}
+        entry = _report_entry(case, tol, outcome)
         entry["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         if dump_dir and fields:
             _dump_fields(dump_dir, case, fields)
@@ -514,6 +502,30 @@ def run(cfg: RunConfig, dump_dir: Optional[str] = None) -> dict:
         "identities": identities,
         "overall_pass": all(entry["pass"] for entry in identities),
     }
+
+
+def _finite(v):
+    return v if math.isfinite(v) else None
+
+
+def _report_entry(case: str, tol: float, outcome) -> dict:
+    """The entry of a case from its identity's Check or the exception it raised (and a
+    failed gate's Check); a non-finite number is None, so the report is strict JSON."""
+    check = outcome if isinstance(outcome, Check) else Check(case, math.nan, tol, False)
+    entry = {
+        "case": case,
+        "residual": _finite(check.value),
+        "tolerance": check.limit,
+        "pass": check.passed,
+        "refinement": [[r, _finite(v)] for r, v in check.refinement],
+    }
+    if check is not outcome:
+        entry.update(reason=str(outcome), error_type=type(outcome).__name__)
+    if isinstance(outcome, GateError):
+        gate = outcome.check
+        at = None if gate.at is None else [_finite(c) for c in gate.at]
+        entry.update(what=gate.what, value=_finite(gate.value), limit=_finite(gate.limit), at=at)
+    return entry
 
 
 def _dump_fields(dump_dir: str, case: str, fields: dict) -> None:

@@ -1,8 +1,22 @@
-"""Exception hierarchy shared by all modules.
+"""The check record and the exception hierarchy shared by all modules.
 
-The errors of the hypothesis gates derive from ``GateError``: each carries the
-gated quantity's name ``what``, its sampled ``value``, the ``limit`` it failed
-and, for a gate on a minimum, the sample point ``at`` where it was found."""
+Every checked value is one ``Check``: a hypothesis gate's sampled quantity or an
+identity's residual, against its limit.  The errors of the gates derive from
+``GateError``, which holds the failed ``Check`` and words its message from it."""
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Check:
+    """``value`` of ``what`` against ``limit``, and the verdict; ``at`` is where a gate on
+    a minimum found it, ``refinement`` an identity's (resolution, residual) pairs."""
+
+    what: str
+    value: float
+    limit: float
+    passed: bool
+    at: tuple | None = None
+    refinement: tuple = ()
 
 
 class ToolkitError(Exception):
@@ -26,15 +40,14 @@ class ResolutionError(ToolkitError):
 
 
 class GateError(ToolkitError):
-    """A hypothesis gate failed: the sampled ``value`` of ``what`` against ``limit``,
-    at the sample point ``at`` where the gate locates it (else None).  Each subclass
-    words the message with its own ``template``."""
+    """A hypothesis gate failed its ``check``.  Each subclass words the message from
+    the check's fields with its own ``template``."""
 
     template = ""
 
-    def __init__(self, what: str, value: float, limit: float, at=None):
-        self.what, self.value, self.limit, self.at = what, value, limit, at
-        super().__init__(self.template.format(what=what, value=value, limit=limit, at=at))
+    def __init__(self, check: Check):
+        self.check = check
+        super().__init__(self.template.format(**vars(check)))
 
 
 class CompatibilityError(GateError):

@@ -19,7 +19,7 @@ one comparison that NaN fails: ``require_at_most`` bounds max |f| (``max_abs``
 reduces the tree's value before broadcasting it, so a constant costs one number) and
 ``require_above`` bounds min |f| from below, naming where the minimum lies; real
 samples that change sign between neighbours have a zero between them, so their
-min |f| is 0.  A failed gate raises the ``GateError`` subclass its caller names.
+min |f| is 0.  A failed gate raises its caller's ``GateError`` on the failed ``Check``.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import expressions as ex
-from .errors import DomainError, NonvanishingError, ParameterError, ResolutionError
+from .errors import Check, DomainError, NonvanishingError, ParameterError, ResolutionError
 
 NONVANISHING_EPS = 1e-10
 
@@ -360,19 +360,19 @@ def _sign_change(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
 
 def require_at_most(f: Union[Field, float], limit: float, error: type, what: str) -> None:
     """Gate: max |f| on f's mesh (or the number f, measured already) is at most
-    ``limit``, else ``error(what, value, limit)``.  NaN fails."""
+    ``limit``, else ``error(Check(what, value, limit, False))``.  NaN fails."""
     value = max_abs(f) if isinstance(f, Field) else f
     if not value <= limit:
-        raise error(what, value, limit)
+        raise error(Check(what, value, limit, False))
 
 
 def require_above(
     f: Union[Field, np.ndarray], limit: float, error: type, what: str, mesh=None
 ) -> None:
     """Gate: min |f| on f's mesh (or of the samples f at the points ``mesh``, an
-    (x, y) pair) exceeds ``limit``, else ``error(what, min, limit, (x, y))`` where
-    the minimum lies.  Real samples that change sign between neighbours have a
-    zero between them: min |f| is 0 there, at the first such root.  NaN fails."""
+    (x, y) pair) exceeds ``limit``, else ``error(Check(what, min, limit, False, (x, y)))``
+    where the minimum lies.  Real samples that change sign between neighbours have
+    a zero between them: min |f| is 0 there, at the first such root.  NaN fails."""
     values, mesh = (f.sample(), f.domain.axes()) if isinstance(f, Field) else (f, mesh)
     a = np.abs(values)
     j, i = np.unravel_index(np.argmin(a), a.shape)
@@ -381,7 +381,7 @@ def require_above(
     if value > limit and np.isrealobj(values) and values.min() < 0 < values.max():
         value, at = 0.0, _sign_change(values, *mesh)
     if not value > limit:
-        raise error(what, value, limit, at)
+        raise error(Check(what, value, limit, False, at))
 
 
 def check_nonvanishing(f: Field, name: str) -> None:

@@ -48,7 +48,8 @@ class OracleSolution:
 def _self_check(sol: OracleSolution) -> OracleSolution:
     prob, tol, family = sol.problem(), SELF_CHECK_TOL, sol.family
 
-    def vanishes(what, m, limit, at):  # not a GateError: the oracle itself is invalid
+    def vanishes(check):  # not a GateError: the oracle itself is invalid
+        m, at = check.value, check.at
         return ParameterError(f"{family} oracle: u nearly vanishes (min |u| = {m:.3e} at {at})")
 
     require_above(sol.u, ZERO_SET_MARGIN, vanishes, "u")

@@ -2,17 +2,17 @@
 
 Each checker re-verifies its own hypotheses (solution-hood, nonvanishing,
 closedness) before asserting the conclusion, so a failure always names the
-violated hypothesis rather than silently producing a large residual.
+violated hypothesis rather than silently producing a large residual.  Each
+returns the ``Check`` that ``verdict`` makes of its residual and tolerance.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import expressions as ex
-from .errors import ContourError, DegeneratePairError, NotASolutionError, ZeroSetError
+from .errors import Check, ContourError, DegeneratePairError, NotASolutionError, ZeroSetError
 from .field import (
     DomainSpec,
     Field,
@@ -42,26 +42,9 @@ TAYLOR_CIRCLE_FRACTION = 0.1
 TAYLOR_CIRCLE_NODES = 128
 
 
-@dataclass
-class IdentityResult:
-    name: str
-    residual: float
-    tolerance: float
-    refinement_table: list[tuple[float, float]] = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tolerance
-
-    def to_dict(self) -> dict:
-        """Report entry; a non-finite residual is None, so the report stays strict JSON."""
-        return {
-            "case": self.name,
-            "residual": self.residual if math.isfinite(self.residual) else None,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "refinement": [[r, v if math.isfinite(v) else None] for r, v in self.refinement_table],
-        }
+def verdict(name: str, residual: float, tolerance: float, table) -> Check:
+    """The identity ``name`` passes when ``residual < tolerance`` (NaN fails)."""
+    return Check(name, residual, tolerance, residual < tolerance, refinement=tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +67,7 @@ def picard_identity(
     prob: RiccatiProblem,
     tolerance: float = 1e-8,
     solution_tol: float | None = None,
-) -> IdentityResult:
+) -> Check:
     """Four-term alternating sum that vanishes for any four Riccati solutions.
 
     ``solution_tol`` relaxes the solution-hood gate for grid-backed inputs,
@@ -103,12 +86,7 @@ def picard_identity(
         - picard_term(Q3, Q2)
     )
     residual = max_abs(total, margin=PICARD_MARGIN_CELLS)
-    return IdentityResult(
-        name="picard",
-        residual=residual,
-        tolerance=tolerance,
-        refinement_table=[(float(prob.domain.nx), residual)],
-    )
+    return verdict("picard", residual, tolerance, [(float(prob.domain.nx), residual)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +107,7 @@ def cauchy_riccati(
     tolerance: float = 1e-10,
     refine: int = 0,
     solution_tol: float | None = None,
-) -> IdentityResult:
+) -> Check:
     """|Re I1| + |Im I2| for the two contour integrals built from Q1 -/+ Q0.
 
     ``solution_tol`` relaxes the solution-hood gate, e.g. for negative
@@ -161,7 +139,7 @@ def cauchy_schrodinger(
     prob: RiccatiProblem,
     tolerance: float = 1e-10,
     refine: int = 0,
-) -> IdentityResult:
+) -> Check:
     """|Re int d_z(u/f) dz| + |Im int f^2 d_z(u/f) dz| over a closed contour."""
     _require_closed(gamma)
     check_nonvanishing(f, "f")
@@ -184,7 +162,7 @@ def cauchy_laplace_reductions(
     kind: str = "derivative",
     tolerance: float = 1e-10,
     refine: int = 0,
-) -> IdentityResult:
+) -> Check:
     """The nu = 0 reductions: int u_z dz = 0 and Re int d_z(1/f) dz = 0.
 
     kind "derivative" checks the first for a harmonic field; kind
@@ -210,14 +188,12 @@ def cauchy_laplace_reductions(
     return _with_refinement(f"laplace-{kind}", residual_at, gamma, tolerance, refine)
 
 
-def _with_refinement(name, residual_at, gamma: Contour, tolerance, refine) -> IdentityResult:
+def _with_refinement(name, residual_at, gamma: Contour, tolerance, refine) -> Check:
     table = []
     for level in range(refine + 1):
         g = gamma.with_nodes(gamma.resolution() * 2**level)
         table.append((float(g.resolution()), residual_at(g)))
-    return IdentityResult(
-        name=name, residual=table[-1][1], tolerance=tolerance, refinement_table=table
-    )
+    return verdict(name, table[-1][1], tolerance, table)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +230,7 @@ def euler_second_baseline(
     N: int,
     region: DomainSpec | None = None,
     tolerance: float = 1e-8,
-) -> IdentityResult:
+) -> Check:
     """Partial-sum log-derivative convergence for an analytic field.
 
     At the classical baseline the formal powers are the ordinary powers
@@ -288,7 +264,7 @@ def euler_second_baseline(
     scale = max(abs(a) for a in coeffs) or 1.0
     retained = [n for n, a in enumerate(coeffs) if abs(a) > 1e-12 * scale]
     if not retained:
-        raise ZeroSetError("partial sum", 0.0, 1e-12 * scale, (z0.x, z0.y))
+        raise ZeroSetError(Check("partial sum", 0.0, 1e-12 * scale, False, (z0.x, z0.y)))
     table: list[tuple[float, float]] = []
     # S_n and S_n' of each degree: those of the degree below plus its own term
     s_n, s_prime = np.zeros_like(dz), np.zeros_like(dz)
@@ -302,7 +278,5 @@ def euler_second_baseline(
         q_n = 0.5 * s_prime / s_n.real
         residual = float(np.max(np.abs(q_n - q_exact)))
         table.append((float(degree), residual))
-    return IdentityResult(
-        name="euler2-baseline", residual=residual, tolerance=tolerance, refinement_table=table
-    )
+    return verdict("euler2-baseline", residual, tolerance, table)
 

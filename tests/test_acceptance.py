@@ -170,7 +170,7 @@ def test_06_four_solution_identity(unit_square):
         abs(picard_term(Qs[i], Qs[j]).evaluate(Point(0.5, 0.5)) - want)
         for (i, j), want in terms.items()
     )
-    const_sum = picard_identity(*Qs, prob, tolerance=1e-12).residual
+    const_sum = picard_identity(*Qs, prob, tolerance=1e-12).value
 
     def quadruple(dom):
         return [
@@ -180,14 +180,14 @@ def test_06_four_solution_identity(unit_square):
             exp_family(1.0, math.atan2(0.8, 0.6), domain=dom).Q,
         ]
 
-    nonconst = picard_identity(*quadruple(unit_square), prob, tolerance=1e-8).residual
+    nonconst = picard_identity(*quadruple(unit_square), prob, tolerance=1e-8).value
 
     residuals = []
     for n in (17, 33, 65, 129):
         dom = DomainSpec(0.0, 1.0, 0.0, 1.0, n, n, Point(0.0, 0.0))
         grid_qs = [ComplexField(Q.re.to_grid(dom), Q.im.to_grid(dom)) for Q in quadruple(dom)]
         residuals.append(
-            picard_identity(*grid_qs, make_problem(dom, 1.0), solution_tol=1.0).residual
+            picard_identity(*grid_qs, make_problem(dom, 1.0), solution_tol=1.0).value
         )
     ratios = [c / f for c, f in zip(residuals, residuals[1:])]
     ratios_ok = all(3.0 <= r <= 5.0 for r in ratios)
@@ -208,12 +208,12 @@ def test_07_contour_theorems(centered_square):
     gamma = Contour.circle(0.0, 0.0, 1.0, 256)
     Q0 = exp_family(1.0, 0.0, domain=dom).Q
     Q1 = exp_family(1.0, math.atan2(0.8, 0.6), domain=dom).Q
-    r1 = cauchy_riccati(Q0, Q1, gamma, prob).residual
+    r1 = cauchy_riccati(Q0, Q1, gamma, prob).value
     f = ExprField(dom, "exp(x)")
     u = ExprField(dom, "exp(0.6*x + 0.8*y)")
-    r2 = cauchy_schrodinger(f, u, gamma, prob).residual
+    r2 = cauchy_schrodinger(f, u, gamma, prob).value
 
-    table = cauchy_riccati(Q0, Q1, gamma.with_nodes(16), prob, refine=3).refinement_table
+    table = cauchy_riccati(Q0, Q1, gamma.with_nodes(16), prob, refine=3).refinement
     doubling_ok = True
     for (_, coarse), (_, fine) in zip(table, table[1:]):
         if coarse < 1e-12:
@@ -221,7 +221,7 @@ def test_07_contour_theorems(centered_square):
         doubling_ok = doubling_ok and coarse / max(fine, 1e-16) >= 4.0
 
     bad = Q1 + constant_field(0.1, dom)
-    neg = cauchy_riccati(Q0, bad, gamma, prob, solution_tol=1.0).residual
+    neg = cauchy_riccati(Q0, bad, gamma, prob, solution_tol=1.0).value
     verdict(
         7,
         f"contour theorems: residuals {r1:.1e}, {r2:.1e} < 1e-10, doubling >= x4, "
@@ -235,10 +235,10 @@ def test_08_potential_free_reductions(centered_square):
     gamma = Contour.circle(0.0, 0.0, 1.0, 256)
     r1 = cauchy_laplace_reductions(
         ExprField(centered_square, "x**2 - y**2 + 3*x*y"), gamma, kind="derivative"
-    ).residual
+    ).value
     r2 = cauchy_laplace_reductions(
         ExprField(centered_square, "4 + x"), gamma, kind="reciprocal"
-    ).residual
+    ).value
     try:
         cauchy_laplace_reductions(
             ExprField(centered_square, "x**2 + y**2"), gamma, kind="derivative"
@@ -260,7 +260,7 @@ def test_09_power_series_baseline(centered_square):
     region = DomainSpec(-h, h, -h, h, 33, 33)
     table = euler_second_baseline(
         analytic_exp(centered_square), Point(0.0, 0.0), 10, region=region
-    ).refinement_table
+    ).refinement
     xg, yg = region.mesh()
     rmax = float(np.max(np.hypot(xg, yg)))
     ratio_ok = True
@@ -273,11 +273,11 @@ def test_09_power_series_baseline(centered_square):
     poly = euler_second_baseline(
         analytic_power(2, poly_dom), Point(0.0, 0.0), 4, region=poly_dom
     )
-    poly_exact = all(v < 1e-12 for _, v in poly.refinement_table)
+    poly_exact = all(v < 1e-12 for _, v in poly.refinement)
     verdict(
         9,
         f"series baseline: final residual {table[-1][1]:.1e}, decay at predicted "
-        f"rate, degree-2 input exact at N=2 ({poly.residual:.1e})",
+        f"rate, degree-2 input exact at N=2 ({poly.value:.1e})",
         table[-1][1] < 1e-8 and ratio_ok and poly_exact,
     )
 
@@ -321,7 +321,7 @@ def test_10_grid_convergence():
             exp_family(1.0, math.atan2(0.8, 0.6), domain=dom).Q,
         ]
         grid_qs = [ComplexField(Q.re.to_grid(dom), Q.im.to_grid(dom)) for Q in qs]
-        errs.append(picard_identity(*grid_qs, make_problem(dom, 1.0), solution_tol=1.0).residual)
+        errs.append(picard_identity(*grid_qs, make_problem(dom, 1.0), solution_tol=1.0).value)
     orders["four-solution identity"] = fit_order(ns, errs)
 
     ok = all(1.7 <= p <= 2.3 for p in orders.values())

@@ -258,8 +258,41 @@ def test_failed_case_reports_its_tolerance(tmp_path):
     entry = run(parse_config(text))["identities"][0]
     assert entry["tolerance"] == 1e-10  # the case default, not null
     assert entry["error_type"] == "ContourError"
+    assert not {"what", "value", "limit", "at"} & set(entry)  # not a gate: no Check
     out = str(tmp_path / "r.json")
     assert main(["--config", write(tmp_path, "open.cfg", text), "--out", out]) == 1
+
+
+def test_failed_gate_entry_carries_its_check():
+    """f = x vanishes on the mesh: the entry names the gate's Check after the reason."""
+    entry = run(parse_config("case = darboux\ndomain = -1 1 -1 1 41 41\nf = x\n"))["identities"][0]
+    keys = "case residual tolerance pass refinement reason error_type what value limit at"
+    assert list(entry) == keys.split() + ["elapsed_ms"]
+    assert (entry["residual"], entry["pass"], entry["refinement"]) == (None, False, [])
+    assert entry["error_type"] == "NonvanishingError"
+    assert (entry["what"], entry["value"], entry["limit"]) == ("f", 0.0, 1e-10)
+    assert entry["at"] == [0.0, -1.0]
+
+
+def test_riccati_residual_runs_on_the_domain_line():
+    """A domain line is the rectangle and mesh the check runs on, not the oracle's default."""
+    cfg = parse_config("case = riccati-residual\ndomain = -1 1 -1 1 21 21\n")
+    entry = run(cfg)["identities"][0]
+    assert entry["pass"] and entry["refinement"][0][0] == 21.0
+
+
+def test_euler1_builds_both_oracles_on_the_domain_line(monkeypatch):
+    built = []
+    exp_family = riccati2d.oracle.exp_family
+
+    def recording(*args, domain=None):
+        built.append(domain)
+        return exp_family(*args, domain=domain)
+
+    monkeypatch.setattr(riccati2d.oracle, "exp_family", recording)
+    cfg = parse_config("case = euler1\ndomain = -1 1 -1 1 21 21\nbase = 0.5 0.5\n")
+    assert run(cfg)["identities"][0]["pass"]
+    assert built == [cfg.domain, cfg.domain]
 
 
 def test_unexpected_exception_contained_per_case(tmp_path, monkeypatch, capsys):
@@ -496,16 +529,22 @@ def test_malformed_csv_is_a_domain_error(tmp_path, header, rows, line):
     assert f"{csv}: line {line}:" in entry["reason"]
 
 
-def test_nan_residual_fails_its_gate():
-    """exp(800 x) overflows; the resulting NaN residual must fail the f gate."""
+def test_nan_residual_fails_its_gate(tmp_path):
+    """exp(800 x) overflows; the resulting NaN residual must fail the f gate, and the
+    gate's value is written as null in strict JSON."""
     text = (
         "case = cauchy-schrodinger\ndomain = 0 1.2 0 1.2\nu = exp(800*x)\n"
         "f = exp(800*y)\nnu = 640000\ncontour = circle 0.6 0.6 0.5 64\n"
     )
+    out = tmp_path / "r.json"
     with np.errstate(over="ignore", invalid="ignore"):
-        entry = run(parse_config(text))["identities"][0]
+        assert main(["--config", write(tmp_path, "nan.cfg", text), "--out", str(out)]) == 1
+    payload = out.read_text()
+    assert "NaN" not in payload and "Infinity" not in payload
+    entry = json.loads(payload)["identities"][0]
     assert not entry["pass"]
     assert entry["reason"].startswith("f is not a solution")
+    assert (entry["what"], entry["value"], entry["limit"], entry["at"]) == ("f", None, 1e-6, None)
 
 
 def test_non_finite_residual_is_null_in_strict_json(tmp_path):

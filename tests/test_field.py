@@ -329,12 +329,15 @@ def test_a_sign_change_between_samples_fails_the_gate(unit_square):
     and 0.525: a real field that does so has a zero there, and the gate names it."""
     with pytest.raises(NonvanishingError) as err:
         check_nonvanishing(ExprField(unit_square, "x - 0.51"), "f")
-    assert (err.value.what, err.value.value) == ("f", 0.0)
-    assert err.value.at == pytest.approx((0.51, 0.0), abs=1e-12)
+    check = err.value.check
+    assert (check.what, check.value, check.limit, check.passed) == ("f", 0.0, 1e-10, False)
+    assert check.at == pytest.approx((0.51, 0.0), abs=1e-12)
     xg, yg = unit_square.mesh()  # samples as an array, a sign change along y
     with pytest.raises(ZeroSetError) as err:
         field_module.require_above(yg - 0.51, 1e-8, ZeroSetError, "g", (xg, yg))
-    assert err.value.value == 0.0 and err.value.at == pytest.approx((0.0, 0.51), abs=1e-12)
+    check = err.value.check
+    assert (check.what, check.value, check.limit, check.passed) == ("g", 0.0, 1e-8, False)
+    assert check.at == pytest.approx((0.0, 0.51), abs=1e-12)
     check_nonvanishing(ExprField(unit_square, "x + 0.01"), "f")  # no sign change
     check_nonvanishing(ExprField(unit_square, "x - 0.51") + 1j, "f")  # complex: |f| >= 1
 

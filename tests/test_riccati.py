@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from riccati2d import (
+    Check,
     CompatibilityError,
     ComplexField,
     Contour,
@@ -262,44 +263,44 @@ _PINNED_GATES = [
         CompatibilityError,
         "compatibility condition casirot violated: max residual 1.000e+00 "
         "exceeds tolerance 1.000e-08",
-        ("casirot", 1.0, 1e-8, None),
+        Check("casirot", 1.0, 1e-8, False),
     ),
     (  # op_A(Phi) is op_Abar(conj(Phi)), whose condition is named for Phi
         "compatible-plus",
         CompatibilityError,
         "compatibility condition casirot_plus violated: max residual 2.000e+00 "
         "exceeds tolerance 1.000e-08",
-        ("casirot_plus", 2.0, 1e-8, None),
+        Check("casirot_plus", 2.0, 1e-8, False),
     ),
     (
         "nonvanishing",
         NonvanishingError,
         "f must be nonvanishing: sampled min |f| = 0.000e+00 at (0.0, 0.0)",
-        ("f", 0.0, 1e-10, (0.0, 0.0)),
+        Check("f", 0.0, 1e-10, False, (0.0, 0.0)),
     ),
     (
         "denominator",
         ZeroSetError,
         "u vanishes in the region: min |u| = 0.000e+00 at (0.5, 0.0)",
-        ("u", 0.0, 1e-10, (0.5, 0.0)),
+        Check("u", 0.0, 1e-10, False, (0.5, 0.0)),
     ),
     (
         "region",
         ZeroSetError,
         "Re W vanishes in the region: min |Re W| = 0.000e+00 at (0.0, -1.0)",
-        ("Re W", 0.0, 1e-8, (0.0, -1.0)),
+        Check("Re W", 0.0, 1e-8, False, (0.0, -1.0)),
     ),
     (
         "pair",
         DegeneratePairError,
         "degenerate pair Q1-Q2: min |difference| = 0.000e+00",
-        ("Q1-Q2", 0.0, 1e-8, (0.0, 0.0)),
+        Check("Q1-Q2", 0.0, 1e-8, False, (0.0, 0.0)),
     ),
     (
         "harmonic",
         NotASolutionError,
         "input (must be harmonic) is not a solution: residual 2.000e+00 exceeds 1.000e-06",
-        ("input (must be harmonic)", 2.0, 1e-6, None),
+        Check("input (must be harmonic)", 2.0, 1e-6, False),
     ),
     (
         "bounded",
@@ -317,15 +318,15 @@ _PINNED_GATES = [
 
 
 @pytest.mark.parametrize(
-    "gate, error, message, fields", _PINNED_GATES, ids=[case[0] for case in _PINNED_GATES]
+    "gate, error, message, check", _PINNED_GATES, ids=[case[0] for case in _PINNED_GATES]
 )
-def test_gate_messages_are_pinned(unit_square, gate, error, message, fields):
-    """Every gate's message text, and each GateError's (what, value, limit, at)."""
+def test_gate_messages_are_pinned(unit_square, gate, error, message, check):
+    """Every gate's message text, and each GateError's failed Check."""
     with pytest.raises(error) as caught:
         _pinned_inputs(unit_square)[gate]()
     err = caught.value
     assert type(err) is error and str(err) == message
-    if fields is None:
+    if check is None:
         assert not isinstance(err, GateError)
     else:
-        assert (err.what, err.value, err.limit, err.at) == fields
+        assert err.check == check

@@ -66,7 +66,7 @@ def test_constant_identity_sum(unit_square):
     prob, Qs = constant_setup(unit_square)
     result = picard_identity(*Qs, prob, tolerance=1e-12)
     assert result.passed
-    assert result.residual < 1e-12
+    assert result.value < 1e-12
 
 
 def nonconstant_quadruple(domain):
@@ -114,7 +114,7 @@ def test_grid_refinement_order_two():
         prob = make_problem(dom, 1.0)
         # grid-backed inputs carry O(h^2) residual themselves: relax the gate
         res = picard_identity(*Qs, prob, solution_tol=1.0)
-        residuals.append(res.residual)
+        residuals.append(res.value)
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 3.0 <= coarse / fine <= 5.0  # 4 +/- 25%
 
@@ -142,7 +142,7 @@ def test_cauchy_riccati_passes():
 def test_cauchy_riccati_node_doubling():
     _, prob, gamma, Q0, Q1 = circle_setup()
     result = cauchy_riccati(Q0, Q1, gamma.with_nodes(16), prob, refine=3)
-    values = [v for _, v in result.refinement_table]
+    values = [v for _, v in result.refinement]
     for coarse, fine in zip(values, values[1:]):
         if coarse < 1e-12:
             break
@@ -153,7 +153,7 @@ def test_cauchy_riccati_negative_control():
     dom, prob, gamma, Q0, Q1 = circle_setup()
     bad = Q1 + constant_field(0.1, dom)
     result = cauchy_riccati(Q0, bad, gamma, prob, solution_tol=1.0)
-    assert result.residual > 1e-3
+    assert result.value > 1e-3
     assert not result.passed
 
 
@@ -218,7 +218,7 @@ def test_baseline_exp_converges(centered_square):
         analytic_exp(centered_square), Point(0.0, 0.0), 10, region=exp_region()
     )
     assert result.passed
-    values = [v for _, v in result.refinement_table]
+    values = [v for _, v in result.refinement]
     assert values[0] > 0.1 and values[-1] < 1e-8
 
 
@@ -229,7 +229,7 @@ def test_baseline_exp_ratio_matches_taylor_remainder(centered_square):
     )
     xg, yg = exp_region().mesh()
     rmax = float(np.max(np.hypot(xg, yg)))
-    table = result.refinement_table
+    table = result.refinement
     for (n, coarse), (_, fine) in zip(table, table[1:]):
         if fine < 1e-9:  # coefficient-noise floor
             break
@@ -240,7 +240,7 @@ def test_baseline_monotone_until_floor(centered_square):
     result = euler_second_baseline(
         analytic_exp(centered_square), Point(0.0, 0.0), 10, region=exp_region()
     )
-    values = [v for _, v in result.refinement_table]
+    values = [v for _, v in result.refinement]
     for coarse, fine in zip(values, values[1:]):
         assert fine <= coarse + 1e-12
 
@@ -251,8 +251,8 @@ def test_baseline_polynomial_exact_at_degree():
     result = euler_second_baseline(W, Point(0.0, 0.0), 4, region=dom)
     # the table starts at the first retained coefficient (degree 2) and is
     # machine-exact from there on
-    assert result.refinement_table[0][0] == 2.0
-    assert all(v < 1e-12 for _, v in result.refinement_table)
+    assert result.refinement[0][0] == 2.0
+    assert all(v < 1e-12 for _, v in result.refinement)
 
 
 def test_baseline_rejects_non_analytic(centered_square):
