@@ -27,7 +27,10 @@ tree: it runs the tree's flat plan, built once and kept on its root, which
 applies each distinct node's operation once, operands first and left to
 right, and drops each value after its last use.  A quotient checks its
 denominator before its numerator is evaluated, so the first
-``SingularityError`` is that of the first denominator reached.
+``SingularityError`` is that of the first denominator reached.  Given the
+values of the tree's ``Given`` leaves (``leaf_values``), the same plan runs on a
+block of a mesh without calling the leaves: ``field.max_abs`` reduces a large
+mesh in blocks of rows, each leaf sampled once on the whole mesh and sliced.
 """
 from __future__ import annotations
 
@@ -77,8 +80,22 @@ def _value_key(v):
     return type(v), v
 
 
-# (class, operand keys) -> the live node, which holds its operands, so no key's id is reused
-_NODES = weakref.WeakValueDictionary()
+class _Entry(weakref.ref):
+    """A weak reference to an interned node, which knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead node's entry, unless a new node of the same key replaced it: an
+    operand's id is free for reuse once the node that held it has died."""
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
+
+
+# (class, operand keys) -> the entry of the live node, which holds its operands,
+# so no key's id is reused while the node lives
+_NODES: dict = {}
 
 
 class Expr:
@@ -92,7 +109,13 @@ class Expr:
         if cls is Given or not args:
             return super().__new__(cls)
         key = (cls, *[id(a) if isinstance(a, Expr) else _value_key(a) for a in args])
-        return _NODES.setdefault(key, super().__new__(cls))  # a hit drops the bare node
+        entry = _NODES.get(key)
+        node = entry and entry()
+        if node is None:
+            node = super().__new__(cls)
+            entry = _NODES[key] = _Entry(node, _forget)
+            entry.key = key
+        return node
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
@@ -109,14 +132,16 @@ class Expr:
         return all(v.is_real if isinstance(v, Expr) else not isinstance(v, complex) for v in values)
 
     @functools.cached_property
-    def _plan(self) -> tuple:
+    def _plan(self) -> "_Plan":
         """Steps ``(fn, operand slots, slots freed after it)`` of the tree."""
         planner = _Planner(self)
         last = {i: k for k, (_, args) in enumerate(planner.steps) for i in args}
         dead = [[] for _ in planner.steps]
         for i, k in last.items():
             dead[k].append(i)
-        return tuple((fn, args, tuple(d)) for (fn, args), d in zip(planner.steps, dead))
+        plan = _Plan((fn, args, tuple(d)) for (fn, args), d in zip(planner.steps, dead))
+        plan.leaves = tuple(planner.leaves)
+        return plan
 
     # -- operator sugar (always routed through the folding constructors) --
     def __add__(self, other):
@@ -272,6 +297,7 @@ class Given(Expr):
         return self.dx() if var == "x" else self.dy()
 
     def _emit(self, plan):
+        plan.leaves.append(len(plan.steps))
         return plan.step(self.fn, 0, 1)
 
     def __str__(self):
@@ -318,14 +344,33 @@ ONE = Const(1.0)
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expr: Expr, x, y):
-    """The value of ``expr`` at ``x``, ``y``, computing each distinct node once."""
+def evaluate(expr: Expr, x, y, leaves: dict | None = None):
+    """The value of ``expr`` at ``x``, ``y``, computing each distinct node once; the
+    ``Given`` steps in ``leaves`` (plan index -> value, as ``leaf_values`` gives
+    them) return their value there instead of calling the leaf."""
+    steps = expr._plan
+    if leaves:
+        steps = list(steps)
+        for k, value in leaves.items():
+            steps[k] = (lambda value=value: value, (), steps[k][2])
     vals = [x, y]
-    for fn, args, dead in expr._plan:
+    for fn, args, dead in steps:
         vals.append(fn(*[vals[i] for i in args]))
         for i in dead:
             vals[i] = None
     return vals[-1]
+
+
+def leaf_values(expr: Expr, x, y) -> dict:
+    """The values at ``x``, ``y`` of the tree's ``Given`` leaves, by plan index, in plan order."""
+    plan = expr._plan
+    return {k: plan[k][0](x, y) for k in plan.leaves}
+
+
+class _Plan(tuple):
+    """A tree's steps; ``leaves`` holds the indices of its ``Given`` steps."""
+
+    leaves: tuple = ()
 
 
 class _Planner:
@@ -335,6 +380,7 @@ class _Planner:
     def __init__(self, root: Expr):
         self.slots: dict[int, int] = {}
         self.steps: list[tuple] = []
+        self.leaves: list[int] = []  # the indices of the Given steps
         top = self.slot(root)
         if top < 2:  # the root is a coordinate: one step reads it, so it is the last value
             self.step(lambda v: v, top)

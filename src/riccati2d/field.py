@@ -15,15 +15,19 @@ Data outside the expression grammar enters as ``Given`` leaves:
   second derivative; central in the interior, one-sided at the boundary).
 
 Every hypothesis gate of the package samples a field on its own mesh and makes
-one comparison that NaN fails: ``require_at_most`` bounds max |f| (``max_abs``
-reduces the tree's value before broadcasting it, so a constant costs one number) and
+one comparison that NaN fails: ``require_at_most`` bounds max |f| and
 ``require_above`` bounds min |f| from below, naming where the minimum lies; real
 samples that change sign between neighbours have a zero between them, so their
 min |f| is 0.  A failed gate raises its caller's ``GateError`` on the failed ``Check``.
+``max_abs``, which gives every max |f| (gates and identity residuals alike), reduces
+the tree's value before broadcasting it, so a constant costs one number, and a mesh
+of more than _BLOCK_POINTS points block by block, so its memory does not grow with
+the mesh; ``require_above`` samples the whole mesh at once.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,9 +36,18 @@ from typing import Optional, Union
 import numpy as np
 
 from . import expressions as ex
-from .errors import Check, DomainError, NonvanishingError, ParameterError, ResolutionError
+from .errors import (
+    Check,
+    DomainError,
+    NonvanishingError,
+    ParameterError,
+    ResolutionError,
+    ToolkitError,
+)
 
 NONVANISHING_EPS = 1e-10
+# mesh points per block of ``max_abs``; bounds memory only
+_BLOCK_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,7 @@ class DomainSpec:
             object.__setattr__(self, "base", Point(self.x_min, self.y_min))
         if not self.contains(self.base.x, self.base.y):
             raise ParameterError(f"base point {self.base} lies outside the rectangle")
+        object.__setattr__(self, "_axes", {})  # (nx, ny, margin) -> the pair of ``axes``
 
     @property
     def hx(self) -> float:
@@ -88,15 +102,21 @@ class DomainSpec:
 
     def axes(self, nx: Optional[int] = None, ny: Optional[int] = None, margin: int = 0):
         """Sample abscissae of shape (1, nx) and ordinates of shape (ny, 1), which
-        broadcast to the mesh; ``margin`` trims that many cells per side."""
-        xs = self.xs(nx)
-        ys = self.ys(ny)
-        if margin:
-            if 2 * margin >= len(xs) or 2 * margin >= len(ys):
-                raise ResolutionError("margin removes the whole sample grid")
-            xs = xs[margin:-margin]
-            ys = ys[margin:-margin]
-        return xs[None, :], ys[:, None]
+        broadcast to the mesh; ``margin`` trims that many cells per side.  The pair
+        is built once per (nx, ny, margin), read-only, and kept on the rectangle."""
+        key = (nx or self.nx, ny or self.ny, margin)
+        pair = self._axes.get(key)
+        if pair is None:
+            xs, ys = self.xs(key[0]), self.ys(key[1])
+            if margin:
+                if 2 * margin >= len(xs) or 2 * margin >= len(ys):
+                    raise ResolutionError("margin removes the whole sample grid")
+                xs = xs[margin:-margin]
+                ys = ys[margin:-margin]
+            pair = self._axes[key] = xs[None, :], ys[:, None]
+            for a in pair:
+                a.setflags(write=False)
+        return pair
 
     def mesh(self, nx: Optional[int] = None, ny: Optional[int] = None, margin: int = 0):
         """Meshgrid (X, Y) of the sample points of ``axes``, as dense arrays."""
@@ -343,7 +363,35 @@ def gradient_norm_ratio(f: Field) -> Field:
 
 
 def max_abs(f: Field, nx=None, ny=None, margin: int = 0) -> float:
-    return float(np.max(np.abs(ex.evaluate(f.expr, *f.domain.axes(nx, ny, margin)))))
+    """Max |f| on the mesh of ``axes(nx, ny, margin)``; NaN if a sample is NaN.
+
+    A mesh of more than _BLOCK_POINTS points is reduced in blocks of rows (of
+    columns, for a wider row) of at most that many points, each running the tree's
+    plan with its part of the ``Given`` leaves, which are sampled once on the whole
+    mesh (a leaf's quadrature depends on all of its rows); so the maximum has the
+    whole mesh's bits.  A constant is evaluated once.  A block that raises an error
+    of the package hands the whole mesh to one evaluation, so the first
+    ``SingularityError`` is that of the first denominator, in plan order, that
+    vanishes anywhere on the mesh.
+    """
+    xs, ys = f.domain.axes(nx, ny, margin)
+    rows, cols = max(1, _BLOCK_POINTS // xs.size), min(xs.size, _BLOCK_POINTS)
+    if ys.size > rows:
+        peaks = []
+        try:
+            leaves = ex.leaf_values(f.expr, xs, ys)
+            leaves = {k: np.broadcast_to(v, (ys.size, xs.size)) for k, v in leaves.items()}
+            for r, c in itertools.product(range(0, ys.size, rows), range(0, xs.size, cols)):
+                r, c = slice(r, r + rows), slice(c, c + cols)
+                block = {k: v[r, c] for k, v in leaves.items()}
+                value = ex.evaluate(f.expr, xs[:, c], ys[r], block)
+                peaks.append(np.max(np.abs(value)))
+                if np.ndim(value) == 0:
+                    break
+            return float(np.max(peaks))
+        except ToolkitError:
+            pass  # the whole mesh, evaluated at once, raises its own first error
+    return float(np.max(np.abs(ex.evaluate(f.expr, xs, ys))))
 
 
 def _sign_change(v: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:

@@ -365,6 +365,20 @@ def test_fold_needs_one_node_and_finite_opposite_constants():
             assert np.isnan(ex.evaluate(residual, 0.5, 0.0))
 
 
+def test_a_dead_node_leaves_the_table_and_only_its_own_entry():
+    """A node's entry goes when the node dies.  The removal callback of a dead node
+    whose key a new node has taken since leaves the new node's entry alone."""
+    key = (ex.Const, ex._value_key(12345.678125))
+    node = ex.Const(12345.678125)
+    stale = ex._NODES[key]
+    assert stale() is node
+    del node
+    assert key not in ex._NODES
+    node = ex.Const(12345.678125)
+    ex._forget(stale)
+    assert ex._NODES[key]() is node and ex.Const(12345.678125) is node
+
+
 def test_copies_keep_their_operands():
     """``copy`` builds a bare node and then fills it in: two copies stay two nodes."""
     a, b = ex.Add(ex.X, ex.Y), ex.Add(ex.Y, ex.X)

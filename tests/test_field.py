@@ -1,21 +1,25 @@
 """Fields, real and complex: algebra, grid leaves and their FD order, Wirtinger calculus, CSV I/O."""
 import math
 
+import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riccati2d import (
+    AntiderivativeConfig,
     ComplexField,
     DomainError,
     DomainSpec,
     ExprField,
     GridField,
     NonvanishingError,
+    NotASolutionError,
     ParameterError,
     Point,
     ResolutionError,
+    SingularityError,
     ZeroSetError,
     check_nonvanishing,
     compatibility_check,
@@ -26,6 +30,7 @@ from riccati2d import (
     gradient_norm_ratio,
     laplacian,
     max_abs,
+    op_Abar,
     read_grid_csv,
     write_grid_csv,
 )
@@ -340,6 +345,121 @@ def test_a_sign_change_between_samples_fails_the_gate(unit_square):
     assert check.at == pytest.approx((0.0, 0.51), abs=1e-12)
     check_nonvanishing(ExprField(unit_square, "x + 0.01"), "f")  # no sign change
     check_nonvanishing(ExprField(unit_square, "x - 0.51") + 1j, "f")  # complex: |f| >= 1
+
+
+_BLOCK = field_module._BLOCK_POINTS
+# below, at and above one block; a row wider than a block; a column of many blocks
+_MESHES = [(41, 41), (128, 64), (128, 65), (161, 161), (_BLOCK + 5, 3), (3, 3 * _BLOCK)]
+
+
+def _gated_trees(name: str):
+    """A field of each kind that a gate reduces: a closed form with a quotient, a
+    complex one, an op_Abar leaf, a grid leaf, a field of x alone, a constant."""
+    d = DomainSpec(0.0, 1.0, 0.0, 1.0, 41, 41)
+    closed = ExprField(d, "exp(0.6*x + 0.8*y)*sin(3*x) / (2 + cos(5*y))")
+    if name == "op_Abar":
+        leaf = op_Abar(d_zbar(ExprField(d, "sin(2*x)*cosh(y)")), AntiderivativeConfig(d.base))
+        return leaf * closed - leaf.dx()
+    if name == "grid":
+        grid = ExprField(d, "x*x - y*y + 2*x*y").to_grid()
+        return grid * grid.dx() + ExprField(d, "y")
+    return {
+        "closed": closed,
+        "complex": d_z(closed) + 1j * closed,
+        "x alone": ExprField(d, "sin(5*x)"),
+        "constant": constant_field(2.5, d),
+    }[name]
+
+
+@hypothesis.given(  # ``given`` above is a leaf
+    mesh=st.one_of(st.sampled_from(_MESHES), st.tuples(st.integers(3, 300), st.integers(3, 300))),
+    margin=st.integers(0, 2),
+    name=st.sampled_from(["closed", "complex", "op_Abar", "grid", "x alone", "constant"]),
+)
+@hypothesis.example(mesh=(161, 161), margin=0, name="op_Abar")
+@hypothesis.example(mesh=(_BLOCK + 5, 3), margin=0, name="grid")
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_blocked_max_abs_has_the_bits_of_the_whole_mesh(mesh, margin, name):
+    """max_abs reduces blocks of at most _BLOCK_POINTS points that cover the mesh
+    once, and gives the bits of max |f| over the whole mesh evaluated at once; a
+    constant is evaluated once."""
+    nx, ny = mesh
+    assume(2 * margin < min(nx, ny))
+    f = _gated_trees(name)
+    xs, ys = f.domain.axes(nx, ny, margin)
+    whole = np.max(np.abs(ex.evaluate(f.expr, xs, ys)))
+    blocks, evaluate = [], ex.evaluate
+
+    def counting(expr, x, y, *leaves):
+        if expr is f.expr:
+            blocks.append(x.size * y.size)
+        return evaluate(expr, x, y, *leaves)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex, "evaluate", counting)
+        got = max_abs(f, nx, ny, margin)
+    assert got == whole and not math.isnan(got)
+    if name == "constant":
+        assert len(blocks) == 1
+    else:
+        assert sum(blocks) == xs.size * ys.size
+        assert max(blocks) <= _BLOCK
+
+
+def test_a_blocked_gate_samples_each_leaf_once_on_the_whole_mesh():
+    """A leaf's values come from one call on the whole mesh, sliced per block: a
+    leaf's quadrature partition depends on all the rows it is asked at."""
+    d = DomainSpec(0.0, 1.0, 0.0, 1.0, 161, 161)
+    shapes = []
+    leaf = given(lambda x, y: shapes.append(np.broadcast(x, y).shape) or np.sin(x) * y)
+    f = ExprField(d, leaf)
+    assert max_abs(f * f + f) == pytest.approx(math.sin(1.0) ** 2 + math.sin(1.0), rel=1e-15)
+    assert shapes == [(161, 161)]
+
+
+def test_a_nan_in_the_last_block_fails_the_gate():
+    """A NaN that only the last block holds fails the gate: Python's max() over the
+    block maxima would drop it, as NaN never compares greater.  exp(760 y) overflows
+    from y = 0.934 on, the last 11 rows of a 161^2 mesh, whose blocks have 50 rows;
+    a leaf sampled on the whole mesh carries its NaN into the last block too."""
+    d = DomainSpec(0.0, 1.0, 0.0, 1.0, 161, 161)
+    assert _BLOCK // 161 == 50
+    last_row = given(lambda x, y: np.where(y == 1.0, np.nan, x * y))
+    for f in (ExprField(d, "sin(exp(760*y))"), ExprField(d, last_row)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = d.axes()[1][:150]
+            assert np.isfinite(ex.evaluate(f.expr, d.axes()[0], ys)).all()
+            with pytest.raises(NotASolutionError) as err:
+                field_module.require_at_most(f, 1e300, NotASolutionError, "f")
+        assert math.isnan(err.value.check.value)
+
+
+def test_a_blocked_gate_names_the_first_singular_denominator_in_plan_order():
+    """1/(y - 1) + 1/y checks y - 1 first, and it vanishes only on the last row;
+    y, checked later, vanishes on the first row, so the first block alone names y.
+    The blocked reduction names y - 1, as the whole mesh evaluated at once does."""
+    d = DomainSpec(0.0, 1.0, 0.0, 1.0, 161, 161)
+    f = ExprField(d, "1/(y - 1) + 1/y")
+    xs, ys = d.axes()
+    with pytest.raises(SingularityError, match=r"^denominator y has"):
+        ex.evaluate(f.expr, xs, ys[: _BLOCK // 161])
+    with pytest.raises(SingularityError) as whole:
+        ex.evaluate(f.expr, xs, ys)
+    assert str(whole.value).startswith("denominator (y + -1.0) ")
+    with pytest.raises(SingularityError) as blocked:
+        max_abs(f)
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_axes_are_built_once_and_read_only(unit_square):
+    """The axes of one (nx, ny, margin) are one read-only pair, kept on the rectangle."""
+    xs, ys = unit_square.axes()
+    assert unit_square.axes(41, 41, 0) is unit_square.axes() and unit_square.axes()[0] is xs
+    assert xs.shape == (1, 41) and ys.shape == (41, 1)
+    assert not xs.flags.writeable and not ys.flags.writeable
+    assert unit_square.axes(margin=2)[1].shape == (37, 1)
+    with pytest.raises(ResolutionError):
+        unit_square.axes(margin=21)
 
 
 def test_grid_csv_roundtrip(tmp_path, unit_square):

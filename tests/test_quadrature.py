@@ -21,6 +21,7 @@ from riccati2d import (
     compatibility_check,
     constant_field,
     d_z,
+    d_zbar,
     line_integral_dz,
     max_abs,
     op_A,
@@ -29,6 +30,7 @@ from riccati2d import (
 from riccati2d import expressions as ex
 from riccati2d import quadrature
 from riccati2d.cli import parse_config, run
+from riccati2d.field import _BLOCK_POINTS
 from riccati2d.quadrature import _K15_NODES, _K15_WEIGHTS
 
 
@@ -213,7 +215,8 @@ def _evaluated_sizes(monkeypatch):
 def test_cancelling_compatibility_residual_is_not_sampled(monkeypatch):
     """For Phi = d_z phi the residual of conj(Phi) is phi_xy - phi_yx; where the
     two mixed partials are one node, it folds to ZERO and op_A's gate evaluates
-    one number instead of the mesh, with the same tolerance and the same error."""
+    one number instead of the mesh, with the same tolerance and the same error.
+    A residual that does not fold samples every point of the mesh, in blocks."""
     domain = DomainSpec(0.0, 3.0, 0.0, 3.0, 201, 201, Point(0.0, 0.0))
     Phi = d_z(ExprField(domain, "sin(7*x)*cosh(3*y) + x*cos(9*y)"))
     assert (Phi.conj().re.dy() - Phi.conj().im.dx()).expr is ex.ZERO
@@ -224,7 +227,8 @@ def test_cancelling_compatibility_residual_is_not_sampled(monkeypatch):
     # exp(0.6x + 0.8y): (e 0.8) 0.6 against (e 0.6) 0.8 round apart, so it is sampled
     sizes.clear()
     op_A(d_z(ExprField(domain, "exp(0.6*x + 0.8*y)")), AntiderivativeConfig(domain.base))
-    assert sizes == [201 * 201]
+    assert sum(sizes) == 201 * 201
+    assert max(sizes) <= _BLOCK_POINTS
     bad = ComplexField(ExprField(domain, ex.Y), ExprField(domain, ex.ZERO))
     with pytest.raises(CompatibilityError, match="casirot"):
         op_Abar(bad, AntiderivativeConfig(domain.base))
@@ -470,6 +474,25 @@ def test_mesh_sample_peak_memory_at_401(monkeypatch):
         tracemalloc.stop()
     assert peak <= 3.0 * 2**20
     assert sum(points) == 90_240
+
+
+def test_compatibility_check_peak_memory_at_1024():
+    """The default darboux gate, d_zbar(u/f) f^2 for u = exp(0.6x + 0.8y) and
+    f = exp(x), reduced on a 1024^2 mesh in blocks of _BLOCK_POINTS points: its
+    traced peak, about 0.5 MiB, stays within 1.0 MiB (48 MiB when the whole mesh
+    was evaluated at once)."""
+    import tracemalloc
+
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, 1024, 1024)
+    u, f = ExprField(domain, "exp(0.6*x + 0.8*y)"), ExprField(domain, "exp(x)")
+    Phi = 1j * (d_zbar(u / f) * (f * f))
+    tracemalloc.start()
+    try:
+        assert compatibility_check(Phi) < 1e-14
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * 2**20
 
 
 def test_point_l_path_cost_and_error(monkeypatch):
