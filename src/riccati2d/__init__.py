@@ -56,7 +56,6 @@ from .quadrature import (
     op_Abar,
 )
 from .riccati import (
-    RiccatiProblem,
     darboux_potential_eta,
     darboux_u_from_v,
     darboux_v_from_u,

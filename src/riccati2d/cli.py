@@ -22,6 +22,7 @@ from .expressions import parse_expression
 from .field import (
     DomainSpec,
     Field,
+    GridField,
     Point,
     laplacian,
     max_abs,
@@ -30,9 +31,8 @@ from .field import (
 )
 from . import oracle
 from .oracle import OracleSolution
-from .quadrature import AntiderivativeConfig, Contour
+from .quadrature import Contour
 from .riccati import (
-    RiccatiProblem,
     darboux_potential_eta,
     darboux_u_from_v,
     darboux_v_from_u,
@@ -135,11 +135,22 @@ def _bounds(text: str) -> tuple:
     return (*map(_real, parts[:4]), nx, ny)
 
 
+def _grid_on(domain: DomainSpec, path: str) -> GridField:
+    """The CSV grid at ``path`` on ``domain``, whose corners and counts it must have."""
+    grid = read_grid_csv(path)
+    meshes = [(d.x_min, d.x_max, d.y_min, d.y_max, d.nx, d.ny) for d in (grid.domain, domain)]
+    if meshes[0] != meshes[1]:
+        grid_mesh, case_mesh = ("[%r, %r] x [%r, %r] with %d x %d nodes" % m for m in meshes)
+        raise DomainError(f"{path}: the grid and the case's domain are different rectangles "
+                          f"or meshes: {grid_mesh} against {case_mesh}")
+    return GridField(domain, grid.values)
+
+
 def _source(text: str) -> _Source:
-    """'csv PATH' (read when the case runs) or expression text (parsed now)."""
+    """'csv PATH' (read when the case runs, on its rectangle) or expression text (parsed now)."""
     if text.startswith("csv "):
         path = text[4:].strip()
-        return lambda domain: read_grid_csv(path)
+        return lambda domain: _grid_on(domain, path)
     try:
         expr = parse_expression(text)
     except ExpressionError as exc:
@@ -249,17 +260,12 @@ def _load(source: Optional[_Source], default: str, domain: DomainSpec) -> Field:
     return (source or _source(default))(domain)
 
 
-def _default_problem(domain: DomainSpec, nu: Field) -> RiccatiProblem:
-    return RiccatiProblem(nu, domain, AntiderivativeConfig(domain.base))
-
-
 def _run_riccati_residual(cfg: RunConfig, tol: float):
     sol = _oracle(cfg, "oracle", "exp_family nu=1 theta=0.9272952180016123", cfg.domain)
-    prob = sol.problem()
     Q = log_derivative(sol.u)
-    resid = riccati_residual(Q, prob)
-    residual = max(max_abs(resid), max_abs(schrodinger_residual(sol.u, prob)))
-    check = verdict("riccati-residual", residual, tol, [(float(prob.domain.nx), residual)])
+    resid = riccati_residual(Q, sol.nu)
+    residual = max(max_abs(resid), max_abs(schrodinger_residual(sol.u, sol.nu)))
+    check = verdict("riccati-residual", residual, tol, [(float(sol.domain.nx), residual)])
     return check, {"riccati_residual_re": resid.re, "riccati_residual_im": resid.im}
 
 
@@ -268,12 +274,11 @@ def _run_darboux(cfg: RunConfig, tol: float):
     f = _load(cfg.f, "exp(x)", domain)
     u = _load(cfg.u, "exp(0.6*x+0.8*y)", domain)
     nu = _load(cfg.nu, "1", domain)
-    prob = _default_problem(domain, nu)
-    v = darboux_v_from_u(u, f, prob)
-    eta = darboux_potential_eta(f, prob)
+    v = darboux_v_from_u(u, f)
+    eta = darboux_potential_eta(f, nu)
     darboux_resid = -laplacian(v) + eta * v
     r1 = max_abs(darboux_resid, nx=21, ny=21)
-    u_back = darboux_u_from_v(v, f, prob)
+    u_back = darboux_u_from_v(v, f)
     alpha = (u_back.evaluate(domain.base) - u.evaluate(domain.base)) / f.evaluate(domain.base)
     r2 = max_abs(u_back - alpha * f - u, 21, 21)
     residual = max(r1, r2)
@@ -283,9 +288,8 @@ def _run_darboux(cfg: RunConfig, tol: float):
 def _run_euler1(cfg: RunConfig, tol: float):
     sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0", cfg.domain)
     sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", sol0.domain)
-    prob = sol0.problem()
-    W = euler_first_W_from_Q(sol1.Q, sol0.Q, prob)
-    f0 = exp_reconstruct(sol0.Q, prob)
+    W = euler_first_W_from_Q(sol1.Q, sol0.Q, sol0.nu)
+    f0 = exp_reconstruct(sol0.Q)
     r1 = max_abs(vekua_residual(W, f0), nx=15, ny=15)
     Q_back = euler_first_Q_from_W(W)
     r2 = max_abs(Q_back - sol1.Q, 15, 15)
@@ -314,16 +318,14 @@ def _run_picard(cfg: RunConfig, tol: float):
     }
     domain = cfg.domain or _UNIT_SQUARE
     sols = [_oracle(cfg, key, spec, domain) for key, spec in defaults.items()]
-    return picard_identity(*(s.Q for s in sols), sols[0].problem(), tolerance=tol), {}
+    return picard_identity(*(s.Q for s in sols), sols[0].nu, tolerance=tol), {}
 
 
 def _run_cauchy_riccati(cfg: RunConfig, tol: float):
     domain = cfg.domain or _CENTRED_SQUARE
     sol0 = _oracle(cfg, "oracle", "exp_family nu=1 theta=0", domain)
     sol1 = _oracle(cfg, "oracle_b", "exp_family nu=1 theta=0.9272952180016123", domain)
-    result = cauchy_riccati(
-        sol0.Q, sol1.Q, cfg.contour, sol0.problem(), tolerance=tol, refine=cfg.refine
-    )
+    result = cauchy_riccati(sol0.Q, sol1.Q, cfg.contour, sol0.nu, tolerance=tol, refine=cfg.refine)
     return result, {}
 
 
@@ -332,8 +334,7 @@ def _run_cauchy_schrodinger(cfg: RunConfig, tol: float):
     f = _load(cfg.f, "exp(x)", domain)
     u = _load(cfg.u, "exp(0.6*x+0.8*y)", domain)
     nu = _load(cfg.nu, "1", domain)
-    prob = _default_problem(domain, nu)
-    return cauchy_schrodinger(f, u, cfg.contour, prob, tolerance=tol, refine=cfg.refine), {}
+    return cauchy_schrodinger(f, u, cfg.contour, nu, tolerance=tol, refine=cfg.refine), {}
 
 
 def _run_laplace(cfg: RunConfig, tol: float):

@@ -173,9 +173,9 @@ class Field:
     def __neg__(self):
         return _combine(-1.0, self, operator.mul)
 
-    def _values(self, x, y):
+    def _values(self, x, y, leaves: Optional[dict] = None):
         # numpy's dtype is the tree's: only an Re or Im node drops a complex part
-        out = np.asarray(ex.evaluate(self.expr, x, y))
+        out = np.asarray(ex.evaluate(self.expr, x, y, leaves))
         return np.broadcast_to(out, np.broadcast(x, y).shape)
 
     def evaluate(self, p: Point) -> Union[float, complex]:

@@ -2,16 +2,15 @@
 
 Every valid oracle self-checks at construction: its u must satisfy the
 second-order equation, its Q the first-order one, both to 1e-12, and u must
-be nonvanishing on its declared rectangle.  All oracles are expression-backed
-so they carry no finite-difference error.
+be nonvanishing on its rectangle, that of u, at whose base antiderivatives of
+its fields start.  All oracles are expression-backed so they carry no
+finite-difference error.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from . import expressions as ex
 from .errors import NotASolutionError, ParameterError
@@ -24,8 +23,7 @@ from .field import (
     require_above,
     require_at_most,
 )
-from .quadrature import AntiderivativeConfig
-from .riccati import RiccatiProblem, riccati_residual, schrodinger_residual
+from .riccati import riccati_residual, schrodinger_residual
 
 SELF_CHECK_TOL = 1e-12
 ZERO_SET_MARGIN = 1e-6
@@ -38,23 +36,23 @@ class OracleSolution:
     Q: Field
     family: str
     params: dict
-    domain: DomainSpec
     valid: bool = True
 
-    def problem(self, cfg: Optional[AntiderivativeConfig] = None) -> RiccatiProblem:
-        return RiccatiProblem(self.nu, self.domain, cfg or AntiderivativeConfig(self.domain.base))
+    @property
+    def domain(self) -> DomainSpec:
+        return self.u.domain
 
 
 def _self_check(sol: OracleSolution) -> OracleSolution:
-    prob, tol, family = sol.problem(), SELF_CHECK_TOL, sol.family
+    nu, tol, family = sol.nu, SELF_CHECK_TOL, sol.family
 
     def vanishes(check):  # not a GateError: the oracle itself is invalid
         m, at = check.value, check.at
         return ParameterError(f"{family} oracle: u nearly vanishes (min |u| = {m:.3e} at {at})")
 
     require_above(sol.u, ZERO_SET_MARGIN, vanishes, "u")
-    require_at_most(schrodinger_residual(sol.u, prob), tol, NotASolutionError, f"{family} oracle u")
-    require_at_most(riccati_residual(sol.Q, prob), tol, NotASolutionError, f"{family} oracle Q")
+    require_at_most(schrodinger_residual(sol.u, nu), tol, NotASolutionError, f"{family} oracle u")
+    require_at_most(riccati_residual(sol.Q, nu), tol, NotASolutionError, f"{family} oracle Q")
     return sol
 
 
@@ -72,15 +70,8 @@ def exp_family(
     a, b = root * math.cos(theta), root * math.sin(theta)
     u = Field(dom, ex.Exp(ex.Const(a) * ex.X + ex.Const(b) * ex.Y))
     Q = constant_field(complex(a / 2.0, -b / 2.0), dom)
-    sol = OracleSolution(
-        u=u,
-        nu=constant_field(nu_const, dom),
-        Q=Q,
-        family="exp_family",
-        params={"nu": nu_const, "theta": theta},
-        domain=dom,
-    )
-    return _self_check(sol)
+    params = {"nu": nu_const, "theta": theta}
+    return _self_check(OracleSolution(u, constant_field(nu_const, dom), Q, "exp_family", params))
 
 
 def _axis_factor(nu: float, var: ex.Expr, branch: str, half_width_cap: float):
@@ -134,15 +125,9 @@ def separable_family(
                 )
     u = Field(domain, Fx * Fy)
     Q = Field(domain, 0.5 * logdx - 0.5j * logdy)
-    sol = OracleSolution(
-        u=u,
-        nu=constant_field(nu1 + nu2, domain),
-        Q=Q,
-        family="separable_family",
-        params={"nu1": nu1, "nu2": nu2, "branch1": branch1, "branch2": branch2},
-        domain=domain,
-    )
-    return _self_check(sol)
+    params = {"nu1": nu1, "nu2": nu2, "branch1": branch1, "branch2": branch2}
+    nu = constant_field(nu1 + nu2, domain)
+    return _self_check(OracleSolution(u, nu, Q, "separable_family", params))
 
 
 _MONOMIAL_DOMAIN = DomainSpec(1.5, 2.5, -0.4, 0.4, 41, 41, Point(2.0, 0.0))
@@ -168,14 +153,8 @@ def harmonic_family(
     z_n = ex.powi(ex.X + 1j * ex.Y - complex(shift.x, shift.y), n)
     u = Field(dom, ex.real(z_n))
     Q = d_z(u) / u
-    sol = OracleSolution(
-        u=u,
-        nu=constant_field(0.0, dom),
-        Q=Q,
-        family="harmonic_family",
-        params={"kind": kind, "n": n, "shift": (shift.x, shift.y)},
-        domain=dom,
-    )
+    params = {"kind": kind, "n": n, "shift": (shift.x, shift.y)}
+    sol = OracleSolution(u, constant_field(0.0, dom), Q, "harmonic_family", params)
     try:
         return _self_check(sol)
     except ParameterError:

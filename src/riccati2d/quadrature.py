@@ -3,7 +3,9 @@
 The antiderivative operators integrate along the canonical L-path (vertical
 segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
-built around.  Every segment integral is one rule, ``_along``: panels are
+built around.  The path starts at the base of the integrand's rectangle
+(``DomainSpec.base``), unless an ``AntiderivativeConfig`` names another base in
+it.  Every segment integral is one rule, ``_along``: panels are
 bisected from [side start, base] and [base, side end] until each is certified
 by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
 SEGMENT_REL_TOL * (|K15| + 1), and a target's value is the sum of the panel
@@ -12,8 +14,9 @@ antiderivative of the panel's interpolant.  A mesh sample certifies each panel
 for all its rows at once; any other batch (contour nodes, dense arrays, single
 points) certifies each point's panels for that point alone, on panels and nodes
 that the batch shares, so that a point's value does not depend on its batch.
-Either way the integrand is asked at a tensor grid of panel nodes, and a leaf
-nested in it takes the same path.  A non-finite value, or a point still
+Either way the integrand is asked at a tensor grid of panel nodes, in chunks
+of lines that share one sample of its leaves, and a leaf nested in it takes
+the same path.  A non-finite value, or a point still
 uncertified at MAX_PANELS panels, raises QuadratureError.
 """
 from __future__ import annotations
@@ -118,6 +121,8 @@ _KEPT = 3
 
 @dataclass(frozen=True)
 class AntiderivativeConfig:
+    """A base point for op_A and op_Abar other than that of the integrand's rectangle."""
+
     base: Point
 
 
@@ -230,19 +235,30 @@ def _tensor_grid(x: np.ndarray, y: np.ndarray) -> bool:
     return x.size * y.size > 1 and all(p == 1 or q == 1 for p, q in zip(x_shape, y_shape))
 
 
-def _integrand(phi: Field, x, y) -> np.ndarray:
-    """phi at (x, y): every point that an antiderivative integrates is sampled here."""
-    return phi._values(x, y)
+def _integrand(phi: Field, x, y, leaves: Optional[dict] = None) -> np.ndarray:
+    """phi at (x, y), with its ``Given`` leaves' values there if given: every point
+    that an antiderivative integrates is sampled here."""
+    return phi._values(x, y, leaves)
 
 
 def _panel_values(phi: Field, axis: int, a: np.ndarray, b: np.ndarray, across: np.ndarray):
     """phi at the K15 nodes of the panels [a, b] on each line of ``across``, shaped
-    (lines, panels, 15): a tensor grid, in chunks of at most _MAX_BATCH points."""
+    (lines, panels, 15): a tensor grid, in chunks of at most _MAX_BATCH points.  A leaf's
+    quadrature depends on all of its rows, so with more than one chunk phi's leaves are
+    sampled once on the whole grid and sliced, as in ``field.max_abs``."""
     nodes = (a[:, None] + _K15_T * (b - a)[:, None]).reshape(1, -1)
-    step = max(1, _MAX_BATCH // nodes.size)
-    chunks = (across[line : line + step, None] for line in range(0, across.size, step))
-    v = [_integrand(phi, nodes, o) if axis == 0 else _integrand(phi, o, nodes) for o in chunks]
-    return (v[0] if len(v) == 1 else np.concatenate(v)).reshape(across.size, a.size, 15)
+    step, shape = max(1, _MAX_BATCH // nodes.size), (across.size, a.size, 15)
+
+    def grid(lines):
+        return (nodes, across[lines, None]) if axis == 0 else (across[lines, None], nodes)
+
+    if across.size <= step:
+        return _integrand(phi, *grid(slice(None))).reshape(shape)
+    leaves = ex.leaf_values(phi.expr, *grid(slice(None)))
+    leaves = {k: np.broadcast_to(w, (across.size, nodes.size)) for k, w in leaves.items()}
+    chunks = (slice(line, line + step) for line in range(0, across.size, step))
+    v = [_integrand(phi, *grid(c), {k: w[c] for k, w in leaves.items()}) for c in chunks]
+    return np.concatenate(v).reshape(shape)
 
 
 def _certify(sums: np.ndarray, h: np.ndarray):
@@ -356,8 +372,8 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
     return out
 
 
-def _l_path_value(Phi: Field, cfg: AntiderivativeConfig):
-    """2*(int_{x0}^{x} Phi1(s, y) ds + int_{y0}^{y} Phi2(x0, s) ds).
+def _l_path_value(Phi: Field, base: Point):
+    """2*(int_{x0}^{x} Phi1(s, y) ds + int_{y0}^{y} Phi2(x0, s) ds), (x0, y0) the base.
 
     On a tensor grid the rows share the targets (``_along``); a sorted, distinct
     row of abscissae against a sorted, distinct column of ordinates, as
@@ -369,7 +385,7 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig):
     levels that nest it.
     """
     phi1, phi2, d = Phi.re, Phi.im, Phi.domain
-    x0, y0 = cfg.base.x, cfg.base.y
+    x0, y0 = base.x, base.y
     kept = {}  # points -> values, oldest first
 
     def on_mesh(x, y):
@@ -414,15 +430,16 @@ def _l_path_value(Phi: Field, cfg: AntiderivativeConfig):
     return value
 
 
-def _antiderivative(Phi: Field, cfg: AntiderivativeConfig, what: str, name: str) -> Field:
+def _antiderivative(Phi: Field, cfg: Optional[AntiderivativeConfig], what: str, name: str) -> Field:
     """op_Abar, its compatibility condition named ``what``: a leaf whose values come
     from L-path quadrature and whose partials are the exact d_x phi = 2 Phi1 and
     d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature."""
-    if not Phi.domain.contains(cfg.base.x, cfg.base.y):
-        raise ParameterError(f"{name}: base point {cfg.base} lies outside the rectangle")
+    base = Phi.domain.base if cfg is None else cfg.base
+    if not Phi.domain.contains(base.x, base.y):
+        raise ParameterError(f"{name}: base point {base} lies outside the rectangle")
     require_at_most(compatibility_check(Phi), COMPAT_TOL, CompatibilityError, what)
     leaf = ex.Given(
-        _l_path_value(Phi, cfg),
+        _l_path_value(Phi, base),
         lambda: (2.0 * Phi.re).expr,
         lambda: (2.0 * Phi.im).expr,
         f"{name}[Phi]",
@@ -430,13 +447,14 @@ def _antiderivative(Phi: Field, cfg: AntiderivativeConfig, what: str, name: str)
     return Field(Phi.domain, leaf)
 
 
-def op_Abar(Phi: Field, cfg: AntiderivativeConfig) -> Field:
-    """The real field phi with d_zbar(phi) = Phi and phi(base) = 0, for a base in
-    Phi's rectangle and d_y Phi1 - d_x Phi2 = 0 within COMPAT_TOL ("casirot")."""
+def op_Abar(Phi: Field, cfg: Optional[AntiderivativeConfig] = None) -> Field:
+    """The real field phi with d_zbar(phi) = Phi and phi(base) = 0, for d_y Phi1 - d_x Phi2
+    = 0 within COMPAT_TOL ("casirot"); the base is that of Phi's rectangle, or ``cfg``'s,
+    which must lie in it."""
     return _antiderivative(Phi, cfg, "casirot", "op_Abar")
 
 
-def op_A(Phi: Field, cfg: AntiderivativeConfig) -> Field:
+def op_A(Phi: Field, cfg: Optional[AntiderivativeConfig] = None) -> Field:
     """The real field phi with d_z(phi) = Phi and phi(base) = 0: op_Abar of conj(Phi),
     as d_zbar(phi) = conj(Phi) for real phi, gated by d_y Phi1 + d_x Phi2 = 0 ("casirot_plus")."""
     return _antiderivative(Phi.conj(), cfg, "casirot_plus", "op_A")

@@ -4,15 +4,15 @@ Residual diagnostics, the logarithmic derivative and its exponential inverse,
 the second-order operator factorization, the Darboux transform pair, and the
 first Euler-type conversions between Riccati solutions and solutions of the
 associated real-linear first-order system.
+
+An equation is fixed by its potential alone, the field ``nu`` of the functions
+that read it; antiderivatives start at the base of their integrand's rectangle.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NotASolutionError, ParameterError, ZeroSetError
 from .field import (
     NONVANISHING_EPS,
-    DomainSpec,
     Field,
     check_nonvanishing,
     d_z,
@@ -23,38 +23,29 @@ from .field import (
     require_above,
     require_at_most,
 )
-from .quadrature import AntiderivativeConfig, op_A, op_Abar
+from .quadrature import op_A, op_Abar
 
 SOLUTION_TOL = 1e-6
 BOUNDEDNESS_LIMIT = 1e6
 
 
-@dataclass(frozen=True)
-class RiccatiProblem:
-    """Potential, rectangle and antiderivative configuration for one equation."""
-
-    nu: Field
-    domain: DomainSpec
-    cfg: AntiderivativeConfig
-
-
-def riccati_residual(Q: Field, prob: RiccatiProblem) -> Field:
+def riccati_residual(Q: Field, nu: Field) -> Field:
     """Pointwise d_zbar(Q) + |Q|^2 - nu/4 (zero iff Q solves the equation)."""
-    return d_zbar(Q) + (Q.abs2() - 0.25 * prob.nu)
+    return d_zbar(Q) + (Q.abs2() - 0.25 * nu)
 
 
-def schrodinger_residual(u: Field, prob: RiccatiProblem) -> Field:
+def schrodinger_residual(u: Field, nu: Field) -> Field:
     """Pointwise (-Laplace + nu) u."""
-    return -laplacian(u) + prob.nu * u
+    return -laplacian(u) + nu * u
 
 
-def _require_riccati_solution(Q: Field, prob: RiccatiProblem, what: str, tol=None) -> None:
+def _require_riccati_solution(Q: Field, nu: Field, what: str, tol=None) -> None:
     tol = SOLUTION_TOL if tol is None else tol
-    require_at_most(riccati_residual(Q, prob), tol, NotASolutionError, what)
+    require_at_most(riccati_residual(Q, nu), tol, NotASolutionError, what)
 
 
-def _require_schrodinger_solution(u: Field, prob: RiccatiProblem, what: str) -> None:
-    require_at_most(schrodinger_residual(u, prob), SOLUTION_TOL, NotASolutionError, what)
+def _require_schrodinger_solution(u: Field, nu: Field, what: str) -> None:
+    require_at_most(schrodinger_residual(u, nu), SOLUTION_TOL, NotASolutionError, what)
 
 
 def _require_bounded(Q: Field, what: str) -> None:
@@ -70,19 +61,19 @@ def log_derivative(u: Field) -> Field:
     return d_z(u) / u
 
 
-def exp_reconstruct(Q: Field, prob: RiccatiProblem) -> Field:
+def exp_reconstruct(Q: Field) -> Field:
     """u = exp of the d_z-antiderivative of Q; normalized so u(base) = 1."""
-    return exp_field(op_A(Q, prob.cfg))
+    return exp_field(op_A(Q))
 
 
-def factorization_apply(Q: Field, phi: Field, prob: RiccatiProblem) -> tuple[Field, Field, Field]:
+def factorization_apply(Q: Field, phi: Field, nu: Field) -> tuple[Field, Field, Field]:
     """Both factorized forms of (Laplace - nu)/4 applied to a real field phi.
 
     Returns (lhs, rhs1, rhs2); the three agree pointwise iff Q solves the
     Riccati equation, and lhs - rhs1 equals the Riccati residual times phi.
     The conjugation in each factor applies before multiplication by Q.
     """
-    lhs = 0.25 * (laplacian(phi) - prob.nu * phi)
+    lhs = 0.25 * (laplacian(phi) - nu * phi)
     psi = d_z(phi) - Q * phi  # phi is real, so C[phi] = phi
     rhs1 = d_zbar(psi) + Q * psi.conj()
     chi = d_zbar(phi) - Q.conj() * phi
@@ -96,7 +87,7 @@ def vekua_residual(W: Field, f: Field) -> Field:
     return d_zbar(W) - (d_zbar(f) / f) * W.conj()
 
 
-def darboux_v_from_u(u: Field, f: Field, prob: RiccatiProblem) -> Field:
+def darboux_v_from_u(u: Field, f: Field) -> Field:
     """Conjugate partner v of u with respect to the generator f.
 
     v = (1/f) * Abar(i f^2 d_zbar(u/f)); unique up to an additive c/f, fixed
@@ -104,36 +95,36 @@ def darboux_v_from_u(u: Field, f: Field, prob: RiccatiProblem) -> Field:
     """
     check_nonvanishing(f, "f")
     arg = 1j * (d_zbar(u / f) * (f * f))
-    return op_Abar(arg, prob.cfg) / f
+    return op_Abar(arg) / f
 
 
-def darboux_u_from_v(v: Field, f: Field, prob: RiccatiProblem) -> Field:
+def darboux_u_from_v(v: Field, f: Field) -> Field:
     """Inverse transform: u = -f * Abar(i f^-2 d_zbar(f v)), up to an additive c*f."""
     check_nonvanishing(f, "f")
     arg = 1j * (d_zbar(f * v) / (f * f))
-    return -(f * op_Abar(arg, prob.cfg))
+    return -(f * op_Abar(arg))
 
 
-def darboux_potential_eta(f: Field, prob: RiccatiProblem) -> Field:
+def darboux_potential_eta(f: Field, nu: Field) -> Field:
     """Transformed potential eta = 2 (|grad f| / f)^2 - nu."""
-    return 2.0 * gradient_norm_ratio(f) - prob.nu
+    return 2.0 * gradient_norm_ratio(f) - nu
 
 
-def euler_first_W_from_Q(Q: Field, Q0: Field, prob: RiccatiProblem) -> Field:
+def euler_first_W_from_Q(Q: Field, Q0: Field, nu: Field) -> Field:
     """Solution W of the real-linear system generated by Q0, with Re W = e^{A[Q]}.
 
     W = e^{A[Q]} + i e^{-A[Q0]} Abar[i e^{2 A[Q0]} d_zbar(e^{A[Q - Q0]})].
     Both inputs must solve the Riccati equation to tolerance and Q0 must be
     bounded on the closed rectangle.
     """
-    _require_riccati_solution(Q0, prob, "Q0")
-    _require_riccati_solution(Q, prob, "Q")
+    _require_riccati_solution(Q0, nu, "Q0")
+    _require_riccati_solution(Q, nu, "Q")
     _require_bounded(Q0, "Q0")
-    f0 = exp_field(op_A(Q0, prob.cfg))
-    u = exp_field(op_A(Q, prob.cfg))
-    e_diff = exp_field(op_A(Q - Q0, prob.cfg))
+    f0 = exp_field(op_A(Q0))
+    u = exp_field(op_A(Q))
+    e_diff = exp_field(op_A(Q - Q0))
     arg = 1j * (d_zbar(e_diff) * (f0 * f0))
-    v = op_Abar(arg, prob.cfg) / f0
+    v = op_Abar(arg) / f0
     return u + 1j * v
 
 

@@ -28,7 +28,6 @@ from .field import (
 )
 from .quadrature import Contour, line_integral_dz, op_A
 from .riccati import (
-    RiccatiProblem,
     _require_bounded,
     _require_riccati_solution,
     _require_schrodinger_solution,
@@ -64,7 +63,7 @@ def picard_identity(
     Q2: Field,
     Q3: Field,
     Q4: Field,
-    prob: RiccatiProblem,
+    nu: Field,
     tolerance: float = 1e-8,
     solution_tol: float | None = None,
 ) -> Check:
@@ -75,7 +74,7 @@ def picard_identity(
     """
     Qs = (Q1, Q2, Q3, Q4)
     for k, Q in enumerate(Qs, start=1):
-        _require_riccati_solution(Q, prob, f"Q{k}", tol=solution_tol)
+        _require_riccati_solution(Q, nu, f"Q{k}", tol=solution_tol)
     pairs = ((0, 1), (2, 3), (0, 3), (2, 1))
     for i, j in pairs:
         require_above(Qs[i] - Qs[j], PAIR_DEGENERACY_EPS, DegeneratePairError, f"Q{i + 1}-Q{j + 1}")
@@ -86,7 +85,7 @@ def picard_identity(
         - picard_term(Q3, Q2)
     )
     residual = max_abs(total, margin=PICARD_MARGIN_CELLS)
-    return verdict("picard", residual, tolerance, [(float(prob.domain.nx), residual)])
+    return verdict("picard", residual, tolerance, [(float(nu.domain.nx), residual)])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ def cauchy_riccati(
     Q0: Field,
     Q1: Field,
     gamma: Contour,
-    prob: RiccatiProblem,
+    nu: Field,
     tolerance: float = 1e-10,
     refine: int = 0,
     solution_tol: float | None = None,
@@ -114,13 +113,13 @@ def cauchy_riccati(
     controls that measure how the residual reacts to a non-solution.
     """
     _require_closed(gamma)
-    _require_riccati_solution(Q0, prob, "Q0", tol=solution_tol)
-    _require_riccati_solution(Q1, prob, "Q1", tol=solution_tol)
+    _require_riccati_solution(Q0, nu, "Q0", tol=solution_tol)
+    _require_riccati_solution(Q1, nu, "Q1", tol=solution_tol)
     _require_bounded(Q0, "Q0")
     _require_bounded(Q1, "Q1")
     diff = Q1 - Q0
-    e_diff = exp_field(op_A(diff, prob.cfg))
-    e_sum = exp_field(op_A(Q1 + Q0, prob.cfg))
+    e_diff = exp_field(op_A(diff))
+    e_sum = exp_field(op_A(Q1 + Q0))
     integrand1 = diff * e_diff
     integrand2 = diff * e_sum
 
@@ -136,15 +135,15 @@ def cauchy_schrodinger(
     f: Field,
     u: Field,
     gamma: Contour,
-    prob: RiccatiProblem,
+    nu: Field,
     tolerance: float = 1e-10,
     refine: int = 0,
 ) -> Check:
     """|Re int d_z(u/f) dz| + |Im int f^2 d_z(u/f) dz| over a closed contour."""
     _require_closed(gamma)
     check_nonvanishing(f, "f")
-    _require_schrodinger_solution(f, prob, "f")
-    _require_schrodinger_solution(u, prob, "u")
+    _require_schrodinger_solution(f, nu, "f")
+    _require_schrodinger_solution(u, nu, "u")
     g = d_z(u / f)
     g_weighted = g * (f * f)
 

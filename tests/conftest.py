@@ -1,6 +1,6 @@
 import pytest
 
-from riccati2d import AntiderivativeConfig, DomainSpec, Point, RiccatiProblem, constant_field
+from riccati2d import DomainSpec, Point, constant_field
 
 
 @pytest.fixture
@@ -14,6 +14,5 @@ def centered_square():
 
 
 def make_problem(domain, nu_value=1.0):
-    return RiccatiProblem(
-        constant_field(nu_value, domain), domain, AntiderivativeConfig(domain.base)
-    )
+    """The constant potential nu_value on ``domain``: all that fixes an equation."""
+    return constant_field(nu_value, domain)

@@ -59,11 +59,10 @@ def test_01_oracle_residual_suite():
     sols = default_matrix()
     worst = 0.0
     for sol in sols:
-        prob = sol.problem()
         worst = max(
             worst,
-            max_abs(riccati_residual(log_derivative(sol.u), prob)),
-            max_abs(schrodinger_residual(sol.u, prob)),
+            max_abs(riccati_residual(log_derivative(sol.u), sol.nu)),
+            max_abs(schrodinger_residual(sol.u, sol.nu)),
         )
     elapsed = time.perf_counter() - start
     verdict(
@@ -78,10 +77,9 @@ def test_02_reconstruction_round_trip():
     """exp_reconstruct(log_derivative(u)) = u / u(base) to relative 1e-8, 41x41."""
     worst = 0.0
     for sol in default_matrix():
-        prob = sol.problem()
-        u_back = exp_reconstruct(log_derivative(sol.u), prob)
-        u0 = sol.u.evaluate(prob.domain.base)
-        xg, yg = prob.domain.mesh(41, 41)
+        u_back = exp_reconstruct(log_derivative(sol.u))
+        u0 = sol.u.evaluate(sol.domain.base)
+        xg, yg = sol.domain.mesh(41, 41)
         want = sol.u(xg, yg) / u0
         rel = np.max(np.abs(u_back(xg, yg) - want)) / np.max(np.abs(want))
         worst = max(worst, rel)
@@ -92,15 +90,14 @@ def test_03_factorization():
     """Both factorized forms match to 1e-10 for three test fields; 0.1-perturbed
     input opens a gap above 1e-3."""
     sol = exp_family(1.0, math.atan2(0.8, 0.6))
-    prob = sol.problem()
     worst = 0.0
     for phi_text in ("x**2", "x*y", "sin(x)*cosh(y)"):
-        phi = ExprField(prob.domain, phi_text)
-        lhs, rhs1, rhs2 = factorization_apply(sol.Q, phi, prob)
+        phi = ExprField(sol.domain, phi_text)
+        lhs, rhs1, rhs2 = factorization_apply(sol.Q, phi, sol.nu)
         worst = max(worst, max_abs(lhs - rhs1), max_abs(lhs - rhs2))
     bad = perturb(sol, 0.1)
-    phi = ExprField(prob.domain, "x**2")
-    lhs, rhs1, _ = factorization_apply(bad.Q, phi, prob)
+    phi = ExprField(sol.domain, "x**2")
+    lhs, rhs1, _ = factorization_apply(bad.Q, phi, sol.nu)
     gap = max_abs(lhs - rhs1)
     verdict(
         3,
@@ -116,12 +113,12 @@ def test_04_conjugate_transform():
     prob = make_problem(dom, 1.0)
     f = ExprField(dom, "exp(x)")
     u = ExprField(dom, "exp(0.6*x + 0.8*y)")
-    v = darboux_v_from_u(u, f, prob)
+    v = darboux_v_from_u(u, f)
     closed_form = ExprField(dom, "0 - 0.5*exp(0.6*x + 0.8*y) + 0.5*exp(0-x)")
     e1 = max_abs(v - closed_form)
     eta = darboux_potential_eta(f, prob)
     e2 = max_abs(-laplacian(v) + eta * v, nx=21, ny=21)
-    u_back = darboux_u_from_v(v, f, prob)
+    u_back = darboux_u_from_v(v, f)
     alpha = (u_back.evaluate(dom.base) - u.evaluate(dom.base)) / f.evaluate(dom.base)
     xg, yg = dom.mesh(21, 21)
     e3 = float(np.max(np.abs(u_back(xg, yg) - alpha * f(xg, yg) - u(xg, yg))))
@@ -138,12 +135,11 @@ def test_05_first_order_construction():
     """Constructed W satisfies the first-order system to 1e-8 and returns Q."""
     sol0 = exp_family(1.0, 0.0)
     sol1 = exp_family(1.0, math.atan2(0.8, 0.6))
-    prob = sol0.problem()
-    W = euler_first_W_from_Q(sol1.Q, sol0.Q, prob)
-    f0 = exp_reconstruct(sol0.Q, prob)
+    W = euler_first_W_from_Q(sol1.Q, sol0.Q, sol0.nu)
+    f0 = exp_reconstruct(sol0.Q)
     e1 = max_abs(vekua_residual(W, f0), nx=15, ny=15)
     Q_back = euler_first_Q_from_W(W)
-    xg, yg = prob.domain.mesh(15, 15)
+    xg, yg = sol0.domain.mesh(15, 15)
     e2 = float(np.max(np.abs(Q_back(xg, yg) - sol1.Q(xg, yg))))
     verdict(
         5,

@@ -315,10 +315,10 @@ def test_quadrature_error_is_a_failure_entry(tmp_path, monkeypatch):
     """An antiderivative whose integrand no panel count resolves fails its case."""
     from riccati2d import ComplexField, constant_field, op_Abar
 
-    def unresolvable(u, f, prob):
-        d = prob.domain  # compatible: d_y 0 - d_x sin(1e7 y) = 0
+    def unresolvable(u, f):
+        d = u.domain  # compatible: d_y 0 - d_x sin(1e7 y) = 0
         Phi = ComplexField(constant_field(0.0, d), ExprField(d, "sin(1e7*y)"))
-        return op_Abar(Phi, prob.cfg)
+        return op_Abar(Phi)
 
     monkeypatch.setattr("riccati2d.cli.darboux_v_from_u", unresolvable)
     text = "case = darboux\n"
@@ -504,6 +504,34 @@ def test_csv_on_another_rectangle_is_a_domain_error(tmp_path):
     entry = json.loads(out.read_text())["identities"][0]
     assert entry["error_type"] == "DomainError" and not entry["pass"]
     assert "different rectangles" in entry["reason"]
+
+
+def test_csv_on_another_mesh_is_a_domain_error(tmp_path):
+    """A 41^2 grid under a 161^2 domain line of the same rectangle is refused, not
+    checked on its own 41^2 mesh; the reason names the file and both counts."""
+    csv = tmp_path / "u.csv"
+    write_grid_csv(csv, ExprField(DomainSpec(0, 1, 0, 1, 41, 41), "x**2 - y**2 + 2*x").to_grid())
+    text = f"case = darboux\ndomain = 0 1 0 1 161 161\nu = csv {csv}\nf = 1\nnu = 0\n"
+    out = tmp_path / "r.json"
+    assert main(["--config", write(tmp_path, "coarse.cfg", text), "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["identities"][0]
+    assert entry["error_type"] == "DomainError" and not entry["pass"]
+    assert str(csv) in entry["reason"]
+    assert "41 x 41" in entry["reason"] and "161 x 161" in entry["reason"]
+
+
+def test_csv_grid_takes_the_rectangle_and_base_of_its_case(tmp_path):
+    """A CSV grid is placed on the case's rectangle, base included, so the
+    antiderivatives built from it start at the base line's point."""
+    from riccati2d import Point
+
+    csv = tmp_path / "nu.csv"
+    write_grid_csv(csv, ExprField(DomainSpec(0, 1, 0, 1, 41, 41), "1 + 0*x").to_grid())
+    text = f"case = darboux\ndomain = 0 1 0 1 41 41\nbase = 0.37 0.41\nnu = csv {csv}\n"
+    cfg = parse_config(text)
+    nu = cfg.nu(cfg.domain)
+    assert nu.domain is cfg.domain and nu.domain.base == Point(0.37, 0.41)
+    assert run(cfg)["overall_pass"]
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,8 @@ def test_default_matrix_size_and_families():
 
 def test_matrix_invariants():
     for sol in default_matrix():
-        prob = sol.problem()
-        assert max_abs(schrodinger_residual(sol.u, prob)) < 1e-12
-        assert max_abs(riccati_residual(sol.Q, prob)) < 1e-12
+        assert max_abs(schrodinger_residual(sol.u, sol.nu)) < 1e-12
+        assert max_abs(riccati_residual(sol.Q, sol.nu)) < 1e-12
         assert max_abs(log_derivative(sol.u) - sol.Q) < 1e-12
 
 
@@ -106,7 +105,7 @@ def test_perturb_negative_control():
     bad = perturb(sol, 0.1)
     assert not bad.valid
     assert bad.family.endswith("+perturbed")
-    resid = max_abs(riccati_residual(bad.Q, bad.problem()))
+    resid = max_abs(riccati_residual(bad.Q, bad.nu))
     assert resid > 1e-3
     # |Q+eps|^2 - |Q|^2 with Q = 1/2, eps = 0.1
     assert resid == pytest.approx(0.6**2 - 0.5**2, rel=1e-12)

@@ -251,6 +251,30 @@ def test_darboux_gate_plans_share_equal_subtrees(monkeypatch):
     assert len(steps) == 2 and steps[0] <= 81 and steps[1] <= 166
 
 
+_OFF_CORNER = DomainSpec(0.0, 1.0, 0.0, 1.0, 41, 41, Point(0.37, 0.41))
+
+
+@pytest.mark.parametrize("op, derivative", [(op_A, d_z), (op_Abar, d_zbar)])
+def test_the_default_base_is_that_of_the_rectangle(op, derivative):
+    """Without a config, op_A and op_Abar start at their integrand's base: the same
+    bits as a config naming that base, on the mesh and at circle points.  A config
+    naming another point of the rectangle moves the zero there."""
+    phi = ExprField(_OFF_CORNER, "sin(3*x)*cosh(2*y) + x*y")
+    Phi = derivative(phi)
+    t = 2.0 * np.pi * np.arange(64) / 64
+    x, y = 0.5 + 0.4 * np.cos(t), 0.5 + 0.4 * np.sin(t)
+    named = op(Phi, AntiderivativeConfig(_OFF_CORNER.base))
+    for got in (op(Phi), op(Phi)):  # the second asks each point set first
+        assert np.array_equal(got(x, y), named(x, y))
+        assert np.array_equal(got.sample(), named.sample())
+    assert op(Phi).evaluate(_OFF_CORNER.base) == 0.0
+    base = Point(0.9, 0.2)
+    elsewhere = op(Phi, AntiderivativeConfig(base))
+    assert elsewhere.evaluate(base) == 0.0
+    xg, yg = _OFF_CORNER.mesh()
+    assert np.max(np.abs(elsewhere.sample() - (phi(xg, yg) - phi.evaluate(base)))) <= 1e-12
+
+
 def test_base_outside_the_rectangle_raises(unit_square):
     """The L-path from a base outside Phi's rectangle leaves it, where a grid leaf
     is clamped: x*y + 0.5 on [0, 1]^2 with base (5, 5) read -6.75 at (0.5, 0.5)
@@ -359,7 +383,7 @@ def test_vanishing_partial_skips_quadrature(monkeypatch):
 
     points = _count_integrand(monkeypatch)
     sol = exp_family(1.0, 0.0)
-    u = exp_field(op_A(sol.Q, sol.problem().cfg))
+    u = exp_field(op_A(sol.Q))
     assert max_abs(u.dy()) == 0.0
     assert points == []
 
@@ -550,7 +574,7 @@ def test_repeated_leaf_integrates_once(monkeypatch):
     from riccati2d import exp_family, exp_field
 
     sol = exp_family(1.0, 0.9272952180016123)
-    u = exp_field(op_A(sol.Q, sol.problem().cfg))
+    u = exp_field(op_A(sol.Q))
     points = _count_integrand(monkeypatch)
     assert max_abs(u.dx() - 2.0 * sol.Q.re * u) < 1e-12
     assert points == [15 * sol.domain.ny, 15]
@@ -821,6 +845,21 @@ def test_point_values_do_not_depend_on_the_chunks_of_rows(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_BATCH", 2400)  # 2400 // (15 * 16) = 10 rows
     _, A = _phi_antiderivative(41)
     assert np.array_equal(A(x, y), whole)
+
+
+def test_nested_leaves_do_not_depend_on_the_chunks_of_lines(monkeypatch):
+    """A round's lines are evaluated in chunks, but a leaf nested in the integrand
+    is sampled once on all of them, as its partition depends on all its rows:
+    chunks of 160 lines of a 161^2 mesh give the same bits as one chunk."""
+
+    def sample():
+        domain = DomainSpec(0.0, 1.0, 0.0, 1.0, 161, 161, Point(0.37, 0.41))
+        inner = op_A(d_z(ExprField(domain, "sin(3*x)*cosh(2*y) + x*y")))
+        return op_A(d_z(inner * ExprField(domain, "1 + 0.3*x*y"))).sample()
+
+    whole = sample()
+    monkeypatch.setattr(quadrature, "_MAX_BATCH", 2400)  # 2400 // 15 = 160 lines
+    assert np.array_equal(sample(), whole)
 
 
 def test_point_batch_peak_memory():

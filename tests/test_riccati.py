@@ -56,14 +56,13 @@ from conftest import make_problem
 
 def test_residuals_vanish_on_oracle():
     sol = exp_family(1.0, math.atan2(0.8, 0.6))
-    prob = sol.problem()
-    assert max_abs(riccati_residual(sol.Q, prob)) < 1e-13
-    assert max_abs(schrodinger_residual(sol.u, prob)) < 1e-13
+    assert max_abs(riccati_residual(sol.Q, sol.nu)) < 1e-13
+    assert max_abs(schrodinger_residual(sol.u, sol.nu)) < 1e-13
 
 
 def test_residual_detects_perturbation():
     sol = perturb(exp_family(1.0, 0.0), 0.1)
-    resid = max_abs(riccati_residual(sol.Q, sol.problem()))
+    resid = max_abs(riccati_residual(sol.Q, sol.nu))
     # |Q + eps|^2 - |Q|^2 = 2 eps Re Q + eps^2 = 2*0.1*0.5 + 0.01
     assert resid == pytest.approx(0.11, rel=1e-10)
 
@@ -86,18 +85,16 @@ def test_exp_reconstruct_round_trip():
         separable_family(1.0, 1.0),
         separable_family(0.0, -1.0),
     ):
-        prob = sol.problem()
-        u_back = exp_reconstruct(sol.Q, prob)
-        u0 = sol.u.evaluate(prob.domain.base)
+        u_back = exp_reconstruct(sol.Q)
+        u0 = sol.u.evaluate(sol.domain.base)
         assert max_abs(u_back - sol.u * (1.0 / u0)) < 1e-9
 
 
 def test_reconstruction_solves_schrodinger():
     """The reconstructed field is itself a solution (exact operator partials)."""
     sol = separable_family(0.0, -1.0)
-    prob = sol.problem()
-    u_back = exp_reconstruct(sol.Q, prob)
-    assert max_abs(schrodinger_residual(u_back, prob)) < 1e-10
+    u_back = exp_reconstruct(sol.Q)
+    assert max_abs(schrodinger_residual(u_back, sol.nu)) < 1e-10
 
 
 PHIS = ["x**2", "x*y", "sin(x)*cosh(y)"]
@@ -106,20 +103,18 @@ PHIS = ["x**2", "x*y", "sin(x)*cosh(y)"]
 @pytest.mark.parametrize("phi_text", PHIS)
 def test_factorization_identity(phi_text):
     sol = exp_family(1.0, math.atan2(0.8, 0.6))
-    prob = sol.problem()
-    phi = ExprField(prob.domain, phi_text)
-    lhs, rhs1, rhs2 = factorization_apply(sol.Q, phi, prob)
+    phi = ExprField(sol.domain, phi_text)
+    lhs, rhs1, rhs2 = factorization_apply(sol.Q, phi, sol.nu)
     assert max_abs(lhs - rhs1) < 1e-12
     assert max_abs(lhs - rhs2) < 1e-12
 
 
 def test_factorization_gap_equals_residual_times_phi():
     sol = perturb(exp_family(1.0, 0.0), 0.1)
-    prob = sol.problem()
-    phi = ExprField(prob.domain, "x**2")
-    lhs, rhs1, _ = factorization_apply(sol.Q, phi, prob)
+    phi = ExprField(sol.domain, "x**2")
+    lhs, rhs1, _ = factorization_apply(sol.Q, phi, sol.nu)
     gap = lhs - rhs1
-    predicted = riccati_residual(sol.Q, prob) * phi
+    predicted = riccati_residual(sol.Q, sol.nu) * phi
     assert max_abs(gap - predicted) < 1e-12  # lhs - rhs1 = residual * phi
     assert max_abs(gap) > 1e-3  # negative control
 
@@ -133,9 +128,9 @@ def darboux_setup():
 
 def test_darboux_closed_form():
     """v = -0.5 e^{0.6x+0.8y} + 0.5 e^{-x} for f = e^x, u = e^{0.6x+0.8y}."""
-    prob, f, u = darboux_setup()
-    v = darboux_v_from_u(u, f, prob)
-    want = ExprField(prob.domain, "0 - 0.5*exp(0.6*x + 0.8*y) + 0.5*exp(0-x)")
+    _, f, u = darboux_setup()
+    v = darboux_v_from_u(u, f)
+    want = ExprField(f.domain, "0 - 0.5*exp(0.6*x + 0.8*y) + 0.5*exp(0-x)")
     assert max_abs(v - want) < 1e-10
     assert v.evaluate(Point(1.0, 0.0)) == pytest.approx(
         -0.5 * math.exp(0.6) + 0.5 * math.exp(-1.0), abs=1e-10
@@ -143,20 +138,20 @@ def test_darboux_closed_form():
 
 
 def test_darboux_image_solves_transformed_equation():
-    prob, f, u = darboux_setup()
-    v = darboux_v_from_u(u, f, prob)
-    eta = darboux_potential_eta(f, prob)
-    assert max_abs(eta - constant_field(1.0, prob.domain)) < 1e-12
+    nu, f, u = darboux_setup()
+    v = darboux_v_from_u(u, f)
+    eta = darboux_potential_eta(f, nu)
+    assert max_abs(eta - constant_field(1.0, nu.domain)) < 1e-12
     assert max_abs(-laplacian(v) + eta * v, nx=21, ny=21) < 1e-10
 
 
 def test_darboux_round_trip_up_to_multiple_of_f():
-    prob, f, u = darboux_setup()
-    v = darboux_v_from_u(u, f, prob)
-    u_back = darboux_u_from_v(v, f, prob)
-    base = prob.domain.base
+    _, f, u = darboux_setup()
+    v = darboux_v_from_u(u, f)
+    u_back = darboux_u_from_v(v, f)
+    base = f.domain.base
     alpha = (u_back.evaluate(base) - u.evaluate(base)) / f.evaluate(base)
-    xg, yg = prob.domain.mesh(21, 21)
+    xg, yg = f.domain.mesh(21, 21)
     err = np.max(np.abs(u_back(xg, yg) - alpha * f(xg, yg) - u(xg, yg)))
     assert err < 1e-10
 
@@ -164,29 +159,29 @@ def test_darboux_round_trip_up_to_multiple_of_f():
 def euler_setup():
     sol0 = exp_family(1.0, 0.0)
     sol1 = exp_family(1.0, math.atan2(0.8, 0.6))
-    return sol0, sol1, sol0.problem()
+    return sol0, sol1, sol0.nu
 
 
 def test_euler_first_vekua_residual():
-    sol0, sol1, prob = euler_setup()
-    W = euler_first_W_from_Q(sol1.Q, sol0.Q, prob)
-    f0 = exp_reconstruct(sol0.Q, prob)
+    sol0, sol1, nu = euler_setup()
+    W = euler_first_W_from_Q(sol1.Q, sol0.Q, nu)
+    f0 = exp_reconstruct(sol0.Q)
     assert max_abs(vekua_residual(W, f0), nx=15, ny=15) < 1e-10
 
 
 def test_euler_first_q_recovery():
-    sol0, sol1, prob = euler_setup()
-    W = euler_first_W_from_Q(sol1.Q, sol0.Q, prob)
+    sol0, sol1, nu = euler_setup()
+    W = euler_first_W_from_Q(sol1.Q, sol0.Q, nu)
     Q_back = euler_first_Q_from_W(W)
-    xg, yg = prob.domain.mesh(15, 15)
+    xg, yg = sol0.domain.mesh(15, 15)
     assert np.max(np.abs(Q_back(xg, yg) - sol1.Q(xg, yg))) < 1e-10
 
 
 def test_euler_first_rejects_non_solution():
-    sol0, sol1, prob = euler_setup()
+    sol0, sol1, nu = euler_setup()
     bad = perturb(sol1, 0.1)
     with pytest.raises(NotASolutionError):
-        euler_first_W_from_Q(bad.Q, sol0.Q, prob)
+        euler_first_W_from_Q(bad.Q, sol0.Q, nu)
 
 
 def test_vekua_residual_of_analytic_for_constant_f(unit_square):
@@ -196,26 +191,26 @@ def test_vekua_residual_of_analytic_for_constant_f(unit_square):
     assert max_abs(vekua_residual(W, f)) < 1e-13
 
 
-def _oracle_with(u, Q, prob):
-    return OracleSolution(u, prob.nu, Q, "nan-test", {}, prob.domain)
+def _oracle_with(u, Q, nu):
+    return OracleSolution(u, nu, Q, "nan-test", {})
 
 
 @pytest.mark.parametrize(
     "gate, error",
     [
-        (lambda u, f, Q, prob: op_Abar(Q, prob.cfg), CompatibilityError),
-        (lambda u, f, Q, prob: _require_riccati_solution(Q, prob, "Q"), NotASolutionError),
-        (lambda u, f, Q, prob: _require_schrodinger_solution(f, prob, "f"), NotASolutionError),
-        (lambda u, f, Q, prob: _require_bounded(Q, "Q"), ParameterError),
-        (lambda u, f, Q, prob: check_nonvanishing(f, "f"), NonvanishingError),
-        (lambda u, f, Q, prob: log_derivative(f), ZeroSetError),
+        (lambda u, f, Q, nu: op_Abar(Q), CompatibilityError),
+        (lambda u, f, Q, nu: _require_riccati_solution(Q, nu, "Q"), NotASolutionError),
+        (lambda u, f, Q, nu: _require_schrodinger_solution(f, nu, "f"), NotASolutionError),
+        (lambda u, f, Q, nu: _require_bounded(Q, "Q"), ParameterError),
+        (lambda u, f, Q, nu: check_nonvanishing(f, "f"), NonvanishingError),
+        (lambda u, f, Q, nu: log_derivative(f), ZeroSetError),
         (
-            lambda u, f, Q, prob: cauchy_laplace_reductions(f, Contour.circle(0.5, 0.5, 0.25)),
+            lambda u, f, Q, nu: cauchy_laplace_reductions(f, Contour.circle(0.5, 0.5, 0.25)),
             NotASolutionError,
         ),
-        (lambda u, f, Q, prob: euler_second_baseline(Q, Point(0.5, 0.5), 4), NotASolutionError),
-        (lambda u, f, Q, prob: _self_check(_oracle_with(f, Q, prob)), ParameterError),
-        (lambda u, f, Q, prob: _self_check(_oracle_with(u, Q, prob)), NotASolutionError),
+        (lambda u, f, Q, nu: euler_second_baseline(Q, Point(0.5, 0.5), 4), NotASolutionError),
+        (lambda u, f, Q, nu: _self_check(_oracle_with(f, Q, nu)), ParameterError),
+        (lambda u, f, Q, nu: _self_check(_oracle_with(u, Q, nu)), NotASolutionError),
     ],
     ids=[
         "compatible", "riccati", "schrodinger", "bounded", "nonvanishing",
@@ -231,15 +226,15 @@ def test_nan_fails_every_gate(unit_square, gate, error):
 
 
 def _pinned_inputs(square):
-    prob = make_problem(square)
+    nu = make_problem(square)
     Q = exp_family(1.0, 0.5).Q
     centred = DomainSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
     return {
         "compatible": lambda: op_Abar(
-            ComplexField(ExprField(square, "y"), ExprField(square, "0")), prob.cfg
+            ComplexField(ExprField(square, "y"), ExprField(square, "0"))
         ),
         "compatible-plus": lambda: op_A(
-            ComplexField(ExprField(square, "y"), ExprField(square, "x")), prob.cfg
+            ComplexField(ExprField(square, "y"), ExprField(square, "x"))
         ),
         "nonvanishing": lambda: check_nonvanishing(ExprField(square, "x*y"), "f"),
         "denominator": lambda: log_derivative(ExprField(square, "x - 0.5")),
@@ -247,7 +242,7 @@ def _pinned_inputs(square):
             analytic_power(1, centred), Point(0.0, 0.0), 4, region=centred
         ),
         "pair": lambda: picard_identity(
-            Q, Q, exp_family(1.0, 2.0).Q, exp_family(1.0, 4.0).Q, prob
+            Q, Q, exp_family(1.0, 2.0).Q, exp_family(1.0, 4.0).Q, nu
         ),
         "harmonic": lambda: cauchy_laplace_reductions(
             ExprField(square, "x*x"), Contour.circle(0.5, 0.5, 0.25)
