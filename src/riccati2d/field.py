@@ -7,8 +7,8 @@ algebra, and only on the same rectangle; derivatives are the trees' own, and
 the real and imaginary parts of a complex field fold back to real trees.
 Data outside the expression grammar enters as ``Given`` leaves:
 
-* the antiderivative operators' outputs, whose values come from quadrature
-  and whose partials are attached exactly;
+* the antiderivative operators' outputs for a non-constant integrand, whose
+  values come from quadrature and whose partials are attached exactly;
 * uniform samples (``GridField``), bilinear between the nodes, whose partial
   of order (i, j) is the leaf of the samples differenced once along each axis
   by the order-2 stencil of that order (``_fd1`` for a first, ``_fd2`` for a

@@ -5,7 +5,9 @@ segment at the base abscissa, then horizontal at the target ordinate), which
 is exactly the two-integral reconstruction formula the rest of the package is
 built around.  The path starts at the base of the integrand's rectangle
 (``DomainSpec.base``), unless an ``AntiderivativeConfig`` names another base in
-it.  Every segment integral is one rule, ``_along``: panels are
+it.  A constant integrand takes no quadrature: its antiderivative is the linear
+field 2 Phi1 (x - x0) + 2 Phi2 (y - y0) from the base (x0, y0), whose partials
+are exact.  Every segment integral is one rule, ``_along``: panels are
 bisected from [side start, base] and [base, side end] until each is certified
 by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
 SEGMENT_REL_TOL * (|K15| + 1), and a target's value is the sum of the panel
@@ -433,11 +435,17 @@ def _l_path_value(Phi: Field, base: Point):
 def _antiderivative(Phi: Field, cfg: Optional[AntiderivativeConfig], what: str, name: str) -> Field:
     """op_Abar, its compatibility condition named ``what``: a leaf whose values come
     from L-path quadrature and whose partials are the exact d_x phi = 2 Phi1 and
-    d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature."""
+    d_y phi = 2 Phi2, so downstream derivatives do not re-enter quadrature; for a
+    constant Phi, the linear field 2 Phi1 (x - x0) + 2 Phi2 (y - y0)."""
     base = Phi.domain.base if cfg is None else cfg.base
     if not Phi.domain.contains(base.x, base.y):
         raise ParameterError(f"{name}: base point {base} lies outside the rectangle")
     require_at_most(compatibility_check(Phi), COMPAT_TOL, CompatibilityError, what)
+    if isinstance(Phi.expr, ex.Const):
+        sx, sy = 2.0 * Phi.re.expr.value, 2.0 * Phi.im.expr.value
+        if not np.isfinite([sx, sy]).all():
+            raise QuadratureError(f"{name}: the constant {Phi.expr} gave a non-finite value")
+        return Field(Phi.domain, sx * (ex.X - base.x) + sy * (ex.Y - base.y))
     leaf = ex.Given(
         _l_path_value(Phi, base),
         lambda: (2.0 * Phi.re).expr,

@@ -336,6 +336,58 @@ def test_constant_c_offsets_result(unit_square):
     assert (phi + 3.5).evaluate(Point(0.3, 0.6)) == pytest.approx(4.1, abs=1e-12)
 
 
+_CONSTANTS = [0.3, 0.45j, complex(0.3, -0.4)]
+_BASES = [DomainSpec(0.0, 1.0, 0.0, 1.0, 41, 41), _OFF_CORNER]  # the corner, (0.37, 0.41)
+_CIRCLE = 2.0 * np.pi * np.arange(256) / 256
+_CIRCLE_X, _CIRCLE_Y = 0.5 + 0.4 * np.cos(_CIRCLE), 0.5 + 0.4 * np.sin(_CIRCLE)
+
+
+@pytest.mark.parametrize("domain", _BASES)
+@pytest.mark.parametrize("value", _CONSTANTS)
+def test_constant_integrand_takes_no_quadrature(domain, value, monkeypatch):
+    """op_A and op_Abar of a constant are linear trees with no ``Given`` leaf: no
+    integrand point on the mesh, at circle points or at one point."""
+    points = _count_integrand(monkeypatch)
+    for op in (op_A, op_Abar):
+        phi = op(constant_field(value, domain))
+        assert phi.expr._plan.leaves == ()
+        phi.sample()
+        phi(_CIRCLE_X, _CIRCLE_Y)
+        phi.evaluate(Point(0.9, 0.2))
+    assert points == []
+
+
+@pytest.mark.parametrize("domain", _BASES)
+@pytest.mark.parametrize("value", _CONSTANTS)
+def test_constant_integrand_matches_the_l_path(domain, value):
+    """The closed form of a constant agrees with the L-path quadrature of the same
+    integrand from the same base, on the mesh and at circle points, and its
+    partials are exactly those the quadrature leaf attaches: 2 Phi1 and 2 Phi2."""
+    Phi = constant_field(value, domain)
+    for op, integrand in ((op_A, Phi.conj()), (op_Abar, Phi)):
+        phi = op(Phi)
+        l_path = quadrature._l_path_value(integrand, domain.base)
+        xs, ys = domain.axes()
+        assert np.max(np.abs(phi.sample() - l_path(xs, ys))) <= 1e-14
+        assert np.max(np.abs(phi(_CIRCLE_X, _CIRCLE_Y) - l_path(_CIRCLE_X, _CIRCLE_Y))) <= 1e-14
+        slope = 2.0 * complex(integrand.expr.value)
+        assert phi.dx().expr is ex.Const(slope.real)
+        assert phi.dy().expr is ex.Const(slope.imag)
+
+
+def test_constant_integrand_is_checked(unit_square):
+    """A constant with a part that is not finite, or whose doubled part overflows,
+    raises QuadratureError; a base outside the rectangle raises ParameterError."""
+    for value in (complex(math.inf, 0.5), complex(0.5, math.nan), 1e308, -1e308j):
+        for op in (op_A, op_Abar):
+            with pytest.raises(QuadratureError, match="non-finite"):
+                op(constant_field(value, unit_square))
+    cfg = AntiderivativeConfig(Point(5.0, 5.0))
+    for op, name in ((op_A, "op_A"), (op_Abar, "op_Abar")):
+        with pytest.raises(ParameterError, match=f"{name}: base point .* outside the rectangle"):
+            op(constant_field(0.3 - 0.4j, unit_square), cfg)
+
+
 def test_a_point_takes_its_own_panels(unit_square, monkeypatch):
     """cos((1 + 40y) x) is smooth on the line y = 0 and oscillates on y = 1.  Beside
     a point on y = 1, a point on y = 0 keeps the one panel certified for it, bit
@@ -378,11 +430,12 @@ def test_path_independence(unit_square):
 
 
 def test_vanishing_partial_skips_quadrature(monkeypatch):
-    """With Im Q = 0 the y-partial of exp(A[Q]) folds to zero: no quadrature runs."""
-    from riccati2d import exp_family, exp_field
+    """With Im Q = 0 the y-partial of exp(A[Q]) folds to zero: no quadrature runs,
+    although A[Q] of Q = 1/(2(x + 4)), not constant, is a quadrature leaf."""
+    from riccati2d import exp_field, harmonic_family
 
     points = _count_integrand(monkeypatch)
-    sol = exp_family(1.0, 0.0)
+    sol = harmonic_family("translate", 1, Point(-4.0, 0.0))
     u = exp_field(op_A(sol.Q))
     assert max_abs(u.dy()) == 0.0
     assert points == []
@@ -550,6 +603,19 @@ def test_darboux_41_halves_the_integrand_points(monkeypatch):
     assert len(points) < 22
 
 
+def test_euler1_with_separable_cosh_oracles_runs_quadrature(monkeypatch):
+    """The exp_family oracles of euler1 have constant Q, whose antiderivatives take
+    no quadrature; a pair of cosh oracles keeps the quadrature path of euler1 tested."""
+    text = (
+        "case = euler1\n"
+        "oracle = separable nu1=1 nu2=1 branch1=cosh branch2=cosh\n"
+        "oracle_b = separable nu1=2 nu2=0 branch1=cosh shift1=0.5\n"
+    )
+    points = _count_integrand(monkeypatch)
+    assert run(parse_config(text))["identities"][0]["pass"] is True
+    assert sum(points) > 0
+
+
 _POINT = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
 
 
@@ -570,10 +636,11 @@ def test_point_value_independent_of_its_batch(point, others, data):
 
 def test_repeated_leaf_integrates_once(monkeypatch):
     """u = exp(A[Q]) occurs twice in u_x - 2 Q1 u; both occurrences share one
-    evaluation: one panel for all rows, one for the base column."""
-    from riccati2d import exp_family, exp_field
+    evaluation: one panel for all rows, one for the base column.  Q = 1/(2(x + 4))
+    is not constant, so A[Q] is a quadrature leaf."""
+    from riccati2d import exp_field, harmonic_family
 
-    sol = exp_family(1.0, 0.9272952180016123)
+    sol = harmonic_family("translate", 1, Point(-4.0, 0.0))
     u = exp_field(op_A(sol.Q))
     points = _count_integrand(monkeypatch)
     assert max_abs(u.dx() - 2.0 * sol.Q.re * u) < 1e-12
