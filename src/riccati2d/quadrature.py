@@ -7,13 +7,15 @@ built around.  The path starts at the base of the integrand's rectangle
 (``DomainSpec.base``), unless an ``AntiderivativeConfig`` names another base in
 it.  A constant integrand takes no quadrature: its antiderivative is the linear
 field 2 Phi1 (x - x0) + 2 Phi2 (y - y0) from the base (x0, y0), whose partials
-are exact.  Every segment integral is one rule, ``_along``: panels are
+are exact.  Every segment integral is one rule, ``_Along``: panels are
 bisected from [side start, base] and [base, side end] until each is certified
 by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
 SEGMENT_REL_TOL * (|K15| + 1), and a target's value is the sum of the panel
 integrals from the base plus the partial integral in its own panel, the
-antiderivative of the panel's interpolant.  A mesh sample certifies each panel
-for all its rows at once; any other batch (contour nodes, dense arrays, single
+antiderivative of the panel's interpolant.  A tensor grid certifies each panel
+for all its rows at once, and the leaf keeps that certification for its latest
+line sets, so a later request on the same lines within the same panels only
+assembles its values; any other batch (contour nodes, dense arrays, single
 points) certifies each point's panels for that point alone, on panels and nodes
 that the batch shares, so that a point's value does not depend on its batch.
 Either way the integrand is asked at a tensor grid of panel nodes, in chunks
@@ -115,10 +117,9 @@ SEGMENT_REL_TOL = 1e-10
 COMPAT_TOL = 1e-8  # the max sampled compatibility residual that op_A and op_Abar accept
 MAX_PANELS = 2**14
 _MAX_BATCH = 1_000_000  # integrand points per evaluation chunk; bounds memory only
-# an antiderivative keeps its values at this many latest point sets: nested one
-# level down, a leaf is asked at the mesh, at the row nodes and at the base-column
-# nodes of the leaf above it, and again by every level above that
-_KEPT = 3
+# an antiderivative keeps the certification of this many latest line sets per axis:
+# darboux asks its inner leaf on the rows of the residual's mesh and of the sample's
+_KEPT = 2
 
 
 @dataclass(frozen=True)
@@ -271,59 +272,183 @@ def _certify(sums: np.ndarray, h: np.ndarray):
     return k, tail <= SEGMENT_REL_TOL * (np.abs(k) + 1.0)
 
 
-def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray, across):
-    """Integrals of phi along ``axis`` from ``start``, one row per coordinate of
-    ``across`` (ordinates for axis 0, abscissae for axis 1).  ``targets`` is a
-    1-D array of sorted distinct targets that every row shares, giving an array
-    of shape (rows, targets), or a column of one target per row.
+def _roots(side: tuple, start: float, lo, hi) -> tuple:
+    """The edges of the root panels: the side's ends, or the span [lo, hi] where it
+    reaches past them, and ``start``."""
+    return tuple(sorted({min(lo, side[0]), start, max(hi, side[1])}))
 
-    A row takes, from the root panels down, the first certified panel that
-    meets the span of its targets and start; shared targets certify a panel
-    for every row at once, so all rows take one partition.  Each round
-    evaluates phi once, at the nodes of the panels that some row needs, on each
-    distinct line that needs them.  A target's value is the sum of its row's
-    panels from start, outward, to the edge of its panel, plus the partial
-    integral from that edge: by one matrix product per panel for shared
-    targets, and for a target of its own through ``np.einsum`` and Clenshaw's
-    recurrence, whose bits depend on that row alone, in chunks of rows.  A
-    target on a panel's edge is that edge's sum.
-    """
-    across = np.ravel(across)
-    if np.all(targets == start):  # nothing to integrate
-        return np.zeros((across.size, targets.shape[-1]))
-    each, step = targets.ndim == 2, _MAX_BATCH // (15 * 16)  # 16 panels a row in one chunk
-    if each and across.size > step:
-        rows = (slice(row, row + step) for row in range(0, across.size, step))
-        return np.concatenate([_along(phi, axis, side, start, targets[c], across[c]) for c in rows])
-    t = targets if each else targets[None, :]
-    if not np.isfinite(t).all():
-        raise QuadratureError("segment quadrature got a non-finite target")
-    lo, hi = np.minimum(t[:, :1], start), np.maximum(t[:, -1:], start)
-    if each:  # each distinct line once
-        lines, line_of = np.unique(across, return_inverse=True)
-    edges = np.array(sorted({min(lo.min(), side[0]), start, max(hi.max(), side[1])}))
-    a, b = edges[:-1], edges[1:]  # the panels of this round
-    need = (b > lo) & (a < hi)  # by each row, or by all rows together
-    taken, partial = np.zeros(len(need), dtype=int), np.zeros(t.shape)
-    done_a, done_k, held = [np.empty(0)], [np.empty((across.size, 0))], []
+
+def _bisect(a: np.ndarray, b: np.ndarray):
+    """The halves of the panels [a, b], left halves first."""
+    mid = a + (b - a) / 2.0
+    return np.concatenate([a, mid]), np.concatenate([mid, b])
+
+
+def _non_finite(panels) -> QuadratureError:
+    return QuadratureError(f"segment quadrature gave a non-finite value at {panels} panels")
+
+
+def _too_many(panels) -> QuadratureError:
+    return QuadratureError(f"segment quadrature did not converge within {MAX_PANELS} panels: "
+                           f"{panels} panels not certified at relative tolerance {SEGMENT_REL_TOL:g}")
+
+
+def _edge_sums(lefts: np.ndarray, k: np.ndarray, start: float):
+    """The order of the panels by their left edges, the sorted edges, and the sums of
+    the panel integrals ``k`` (lines, panels) from ``start`` outward: column p at the
+    left edge of panel p, the last column at the right edge of the last panel."""
+    order = np.argsort(lefts, kind="stable")
+    lefts, k = lefts[order], k[:, order]
+    m = int(np.searchsorted(lefts, start))
+    sums = np.zeros((k.shape[0], lefts.size + 1))
+    np.cumsum(k[:, m:], axis=1, out=sums[:, m + 1:])
+    if m:  # back from the start over the panels before it
+        np.negative(np.cumsum(k[:, m - 1::-1], axis=1)[:, ::-1], out=sums[:, :m])
+    return order, lefts, sums
+
+
+class _Lines:
+    """One line set's certification along one axis, from the root panels whose edges
+    are ``roots``: the panels [a, b] that hold for every line, in order, with their K15
+    node values, (lines, 15) floats each, so lines x panels x 15 in all, and the sums of
+    the panel integrals from the start at each edge, (lines, panels + 1).
+
+    A request from the same roots whose span meets the first and the last of these
+    panels and reaches past neither takes the same rounds on the same panels, so its
+    own certification would be this one, bit for bit.  A narrower span is certified
+    again: the K15 sums of a round are one matrix product over its panels, whose bits
+    may depend on how many panels it holds."""
+
+    __slots__ = ("roots", "a", "b", "nodes", "sums")
+
+    def __init__(self, roots: tuple, a: np.ndarray, b: np.ndarray, nodes: tuple, sums: np.ndarray):
+        self.roots, self.a, self.b, self.nodes, self.sums = roots, a, b, nodes, sums
+
+    def serves(self, roots: tuple, lo: float, hi: float) -> bool:
+        return roots == self.roots and self.a[0] <= lo < self.b[0] and self.a[-1] < hi <= self.b[-1]
+
+    def at(self, targets: np.ndarray) -> np.ndarray:
+        """The integrals at sorted distinct ``targets`` that this certification serves, one
+        row per line: the edge sum of the target's panel plus the panel's partial integral,
+        by one matrix product per panel.  A target on the last edge is that edge's sum."""
+        out = np.empty((self.sums.shape[0], targets.size))
+        out[:, -1] = self.sums[:, -1]  # the last target may sit on the last edge, in no panel
+        first, last = np.searchsorted(targets, self.a), np.searchsorted(targets, self.b)
+        for p in np.flatnonzero(last > first).tolist():
+            left, right, f, t = self.a[p], self.b[p], first[p], last[p]
+            tau = 2.0 * ((targets[f:t] - left) / (right - left)) - 1.0
+            block = out[:, f:t]
+            np.matmul(self.nodes[p] @ _PARTIAL_COEFFICIENTS, _chebyshev(tau).T * (right - left), out=block)
+            block += self.sums[:, p, None]
+        return out
+
+
+def _certify_lines(phi: Field, axis: int, roots: tuple, start: float, lo: float, hi: float,
+                   across: np.ndarray) -> _Lines:
+    """The rounds of one line set for the span [lo, hi]: phi is evaluated once per round,
+    on every line, at the nodes of the panels that meet (lo, hi) and are not yet
+    certified; a panel that holds for every line is kept, the others are bisected."""
+    edges = np.array(roots)
+    a, b = edges[:-1], edges[1:]
+    lefts, rights, ks, nodes, taken = [], [], [], [], 0
     while True:
-        kept = need.any(axis=0)
-        a, b, need = a[kept], b[kept], need[:, kept]
-        if not a.size:
-            break
-        h = b - a
-        if each:  # the lines that some row needs
-            live = np.zeros(lines.size, dtype=bool)
-            live[line_of[need.any(axis=1)]] = True
-            v, in_v = _panel_values(phi, axis, a, b, lines[live]), (np.cumsum(live) - 1)[line_of]
-        else:
-            v, in_v = _panel_values(phi, axis, a, b, across), slice(None)
+        meet = (b > lo) & (a < hi)
+        a, b = a[meet], b[meet]
+        v = _panel_values(phi, axis, a, b, across)
         if not np.isfinite(v).all():
-            bad = (need & ~np.isfinite(v).all(axis=-1)[in_v]).any(axis=1)
-            if bad.any():
-                n = need[bad.argmax() if each else 0].sum()
-                raise QuadratureError(f"segment quadrature gave a non-finite value at {n} panels")
-        if each:
+            raise _non_finite(a.size)
+        k, ok = _certify((v @ _PANEL_SUMS).transpose(2, 0, 1), b - a)
+        ok = ok.all(axis=0)
+        at = np.flatnonzero(ok)
+        lefts.append(a[at])
+        rights.append(b[at])
+        ks.append(k[:, at])
+        nodes.extend(np.take(v, at, axis=1).transpose(1, 0, 2))  # node values, copied once
+        del v
+        if at.size == a.size:
+            break
+        taken += at.size
+        if taken + 2 * (a.size - at.size) > MAX_PANELS:
+            raise _too_many(a.size - at.size)
+        a, b = _bisect(a[~ok], b[~ok])
+    order, lefts, sums = _edge_sums(np.concatenate(lefts), np.concatenate(ks, axis=1), start)
+    return _Lines(roots, lefts, np.concatenate(rights)[order], tuple(nodes[i] for i in order), sums)
+
+
+class _Along:
+    """Integrals of phi along ``axis`` from ``start``, the side of the rectangle being
+    ``side``, one row per coordinate of ``across`` (ordinates for axis 0, abscissae for
+    axis 1), for one antiderivative leaf.
+
+    A row takes, from the root panels down, the first certified panel that meets the
+    span of its targets and start.  Each round evaluates phi once, at the nodes of the
+    panels that some row needs, on each distinct line that needs them.  A target's
+    value is the sum of its row's panels from start, outward, to the edge of its panel,
+    plus the partial integral from that edge.
+
+    ``shared`` certifies a panel for every row at once, so all rows take one partition,
+    and keeps the certification (``_Lines``) of its latest _KEPT line sets, keyed by
+    their coordinates: a request on kept lines that the kept certification serves
+    evaluates nothing and runs no round, and a certification that raised is not kept.
+    ``each`` certifies each row's panels for that row alone, on panels and lines that the
+    rows share, so that a row's value does not depend on the others; it keeps nothing.
+    """
+
+    def __init__(self, phi: Field, axis: int, side: tuple, start: float):
+        self.phi, self.axis, self.side, self.start = phi, axis, side, start
+        self.kept = {}  # line set -> _Lines, oldest first
+
+    def shared(self, targets: np.ndarray, across) -> np.ndarray:
+        """The integrals at the sorted distinct 1-D ``targets`` on every row: (rows, targets)."""
+        across, start = np.ravel(across), self.start
+        if (targets == start).all():  # nothing to integrate
+            return np.zeros((across.size, targets.size))
+        if not np.isfinite(targets).all():
+            raise QuadratureError("segment quadrature got a non-finite target")
+        lo, hi = min(float(targets[0]), start), max(float(targets[-1]), start)
+        roots, key = _roots(self.side, start, lo, hi), across.tobytes()
+        lines = self.kept.pop(key, None)
+        if lines is None or not lines.serves(roots, lo, hi):
+            lines = _certify_lines(self.phi, self.axis, roots, start, lo, hi, across)
+        self.kept[key] = lines
+        if len(self.kept) > _KEPT:
+            del self.kept[next(iter(self.kept))]
+        return lines.at(targets)
+
+    def each(self, t: np.ndarray, across) -> np.ndarray:
+        """The integral at a column ``t`` of one target per row: (rows, 1).  A row's own
+        target takes its partial integral through ``np.einsum`` and Clenshaw's
+        recurrence, whose bits depend on that row alone, in chunks of rows; a target on
+        a panel's edge is that edge's sum."""
+        across, start = np.ravel(across), self.start
+        if np.all(t == start):  # nothing to integrate
+            return np.zeros((across.size, 1))
+        step = _MAX_BATCH // (15 * 16)  # 16 panels a row in one chunk
+        if across.size > step:
+            rows = (slice(row, row + step) for row in range(0, across.size, step))
+            return np.concatenate([self.each(t[c], across[c]) for c in rows])
+        if not np.isfinite(t).all():
+            raise QuadratureError("segment quadrature got a non-finite target")
+        lo, hi = np.minimum(t, start), np.maximum(t, start)
+        lines, line_of = np.unique(across, return_inverse=True)  # each distinct line once
+        edges = np.array(_roots(self.side, start, lo.min(), hi.max()))
+        a, b = edges[:-1], edges[1:]  # the panels of this round
+        need = (b > lo) & (a < hi)
+        taken, partial = np.zeros(len(need), dtype=int), np.zeros(t.shape)
+        done_a, done_k = [np.empty(0)], [np.empty((across.size, 0))]
+        while True:
+            needed = need.any(axis=0)
+            a, b, need = a[needed], b[needed], need[:, needed]
+            if not a.size:
+                break
+            h = b - a
+            live = np.zeros(lines.size, dtype=bool)  # the lines that some row needs
+            live[line_of[need.any(axis=1)]] = True
+            v, in_v = _panel_values(self.phi, self.axis, a, b, lines[live]), (np.cumsum(live) - 1)[line_of]
+            if not np.isfinite(v).all():
+                bad = (need & ~np.isfinite(v).all(axis=-1)[in_v]).any(axis=1)
+                if bad.any():
+                    raise _non_finite(need[bad.argmax()].sum())
             k, ok = _certify(np.einsum("lpj,cj->clp", v, _PANEL_SUMS.T.copy()), h)
             k, ok = k[in_v], ok[in_v] & need
             r, p = (ok & (a < t) & (t < b)).nonzero()  # the panel that holds t off its edges
@@ -331,74 +456,53 @@ def _along(phi: Field, axis: int, side: tuple, start: float, targets: np.ndarray
             coefficients = np.einsum("kj,rj->kr", _PARTIAL_COEFFICIENTS.T.copy(), v[in_v[r], p])
             partial[r, 0] = _clenshaw(tau, coefficients) * h[p]
             k = np.where(ok & ((b <= t) | (t < start)), k, 0.0)  # its whole panels
-        else:
-            k, ok = _certify((v @ _PANEL_SUMS).transpose(2, 0, 1), h)
-            ok = ok.all(axis=0, keepdims=True) & need
-            first, last = np.searchsorted(targets, a), np.searchsorted(targets, b)
-            at = np.flatnonzero(ok[0] & (last > first))  # certified, with targets in [a, b)
-            at_nodes = np.take(v, at, axis=1).transpose(1, 0, 2)  # node values, copied once
-            held += zip(a[at], b[at], first[at], last[at], at_nodes)
-        del v
-        cols = ok.any(axis=0)
-        done_a.append(a[cols])
-        done_k.append(k[:, cols])
-        open_ = need & ~ok
-        split = open_.any(axis=0)
-        if not split.any():
-            break
-        taken += ok.sum(axis=1)
-        over = taken + 2 * open_.sum(axis=1) > MAX_PANELS
-        if over.any():
-            n, tol = open_[over.argmax()].sum(), SEGMENT_REL_TOL
-            raise QuadratureError(f"segment quadrature did not converge within {MAX_PANELS} "
-                                  f"panels: {n} panels not certified at relative tolerance {tol:g}")
-        a, b, open_ = a[split], b[split], open_[:, split]
-        mid = a + (b - a) / 2.0
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        need = np.hstack([open_, open_]) & (b > lo) & (a < hi)
-    lefts = np.concatenate(done_a)
-    order = np.argsort(lefts, kind="stable")
-    lefts, k = lefts[order], np.concatenate(done_k, axis=1)[:, order]
-    m = int(np.searchsorted(lefts, start))
-    before, after = -np.cumsum(k[:, :m][:, ::-1], axis=1)[:, ::-1], np.cumsum(k[:, m:], axis=1)
-    from_start = np.hstack([before, np.zeros((across.size, 1)), after])  # at each edge
-    if each:  # all of a row's whole panels lie on one side of start
+            del v
+            cols = ok.any(axis=0)
+            done_a.append(a[cols])
+            done_k.append(k[:, cols])
+            open_ = need & ~ok
+            split = open_.any(axis=0)
+            if not split.any():
+                break
+            taken += ok.sum(axis=1)
+            over = taken + 2 * open_.sum(axis=1) > MAX_PANELS
+            if over.any():
+                raise _too_many(open_[over.argmax()].sum())
+            open_ = open_[:, split]
+            a, b = _bisect(a[split], b[split])
+            need = np.hstack([open_, open_]) & (b > lo) & (a < hi)
+        from_start = _edge_sums(np.concatenate(done_a), np.concatenate(done_k, axis=1), start)[2]
+        # all of a row's whole panels lie on one side of start
         return np.where(t < start, from_start[:, :1], from_start[:, -1:]) + partial
-    out = np.empty((across.size, targets.size))
-    out[:, -1] = from_start[:, -1]  # the last target may sit on the last edge, in no panel
-    for left, right, first, last, at_nodes in held:
-        tau = 2.0 * ((targets[first:last] - left) / (right - left)) - 1.0
-        block = out[:, first:last]
-        np.matmul(at_nodes @ _PARTIAL_COEFFICIENTS, _chebyshev(tau).T * (right - left), out=block)
-        block += from_start[:, np.searchsorted(lefts, left), None]
-    return out
 
 
 def _l_path_value(Phi: Field, base: Point):
     """2*(int_{x0}^{x} Phi1(s, y) ds + int_{y0}^{y} Phi2(x0, s) ds), (x0, y0) the base.
 
-    On a tensor grid the rows share the targets (``_along``); a sorted, distinct
-    row of abscissae against a sorted, distinct column of ordinates, as
+    On a tensor grid the rows share the targets (``_Along.shared``); a sorted,
+    distinct row of abscissae against a sorted, distinct column of ordinates, as
     ``Field.sample`` passes them, takes the rest of the formula in place, and
     any other tensor grid gathers from the integrals at its distinct
-    coordinates.  Any other batch takes one row per distinct point.  The leaf
-    keeps its values at the latest _KEPT point sets, so the trees that hold it,
+    coordinates.  Any other batch takes one row per distinct point
+    (``_Along.each``).  The leaf keeps the certification of its latest _KEPT row
+    sets of the x-integrals and of its base column, so the trees that hold it,
     sampled one after another on one mesh, share one quadrature, and so do the
     levels that nest it.
     """
-    phi1, phi2, d = Phi.re, Phi.im, Phi.domain
-    x0, y0 = base.x, base.y
-    kept = {}  # points -> values, oldest first
+    d = Phi.domain
+    x0 = base.x
+    rows = _Along(Phi.re, 0, (d.x_min, d.x_max), x0)
+    column = _Along(Phi.im, 1, (d.y_min, d.y_max), base.y)
 
     def on_mesh(x, y):
         xs, ys = np.ravel(x), np.ravel(y)
-        row, column = x.shape == (1, xs.size), y.shape == (ys.size, 1)
-        in_place = row and column and all(np.all(v[1:] > v[:-1]) for v in (xs, ys))
+        row, col = x.shape == (1, xs.size), y.shape == (ys.size, 1)
+        in_place = row and col and all(np.all(v[1:] > v[:-1]) for v in (xs, ys))
         if not in_place:  # the integrals at the distinct coordinates, then a gather
             xs, xi = np.unique(x, return_inverse=True)
             ys, yi = np.unique(y, return_inverse=True)
-        i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, xs, ys)
-        i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, ys, x0)[0]
+        i1 = rows.shared(xs, ys)
+        i2 = column.shared(ys, x0)[0]
         if in_place:
             i2 = i2[:, None]
         else:
@@ -412,22 +516,14 @@ def _l_path_value(Phi: Field, base: Point):
         x, y = np.broadcast_arrays(x, y)
         yx = np.stack([y.ravel(), x.ravel()], axis=1).view(complex).ravel()  # y + ix, exactly
         points, back = np.unique(yx, return_inverse=True)  # a row per point, by y, then x
-        i1 = _along(phi1, 0, (d.x_min, d.x_max), x0, points.imag[:, None], points.real)
-        i2 = _along(phi2, 1, (d.y_min, d.y_max), y0, points.real[:, None], np.full(points.size, x0))
+        i1 = rows.each(points.imag[:, None], points.real)
+        i2 = column.each(points.real[:, None], np.full(points.size, x0))
         return (2.0 * (i1 + i2))[back].reshape(x.shape)
 
     def value(x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        points = (x.shape, y.shape, x.tobytes(), y.tobytes())
-        values = kept.pop(points, None)
-        if values is None:
-            values = np.asarray(on_mesh(x, y) if _tensor_grid(x, y) else at_points(x, y))
-            values.setflags(write=False)
-        kept[points] = values
-        if len(kept) > _KEPT:
-            del kept[next(iter(kept))]
-        return values
+        return on_mesh(x, y) if _tensor_grid(x, y) else at_points(x, y)
 
     return value
 
