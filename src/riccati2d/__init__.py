@@ -71,7 +71,6 @@ from .riccati import (
 from .theorems import (
     analytic_exp,
     analytic_power,
-    cauchy_laplace_reductions,
     cauchy_riccati,
     cauchy_schrodinger,
     euler_second_baseline,

@@ -4,6 +4,8 @@ Each checker re-verifies its own hypotheses (solution-hood, nonvanishing,
 closedness) before asserting the conclusion, so a failure always names the
 violated hypothesis rather than silently producing a large residual.  Each
 returns the ``Check`` that ``verdict`` makes of its residual and tolerance.
+The potential-free reductions are ``cauchy_schrodinger`` at nu = 0 with the
+constant 1 as f or as u.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .field import (
     d_z,
     d_zbar,
     exp_field,
-    laplacian,
     max_abs,
     require_above,
     require_at_most,
@@ -35,7 +36,6 @@ from .riccati import (
 
 PICARD_MARGIN_CELLS = 2
 PAIR_DEGENERACY_EPS = 1e-8
-HARMONIC_TOL = 1e-6
 ANALYTIC_TOL = 1e-8
 TAYLOR_CIRCLE_FRACTION = 0.1
 TAYLOR_CIRCLE_NODES = 128
@@ -120,15 +120,7 @@ def cauchy_riccati(
     diff = Q1 - Q0
     e_diff = exp_field(op_A(diff))
     e_sum = exp_field(op_A(Q1 + Q0))
-    integrand1 = diff * e_diff
-    integrand2 = diff * e_sum
-
-    def residual_at(g: Contour) -> float:
-        i1 = line_integral_dz(integrand1, g)
-        i2 = line_integral_dz(integrand2, g)
-        return abs(i1.real) + abs(i2.imag)
-
-    return _with_refinement("cauchy-riccati", residual_at, gamma, tolerance, refine)
+    return _contour_check("cauchy-riccati", diff * e_diff, diff * e_sum, gamma, tolerance, refine)
 
 
 def cauchy_schrodinger(
@@ -139,59 +131,29 @@ def cauchy_schrodinger(
     tolerance: float = 1e-10,
     refine: int = 0,
 ) -> Check:
-    """|Re int d_z(u/f) dz| + |Im int f^2 d_z(u/f) dz| over a closed contour."""
+    """|Re int d_z(u/f) dz| + |Im int f^2 d_z(u/f) dz| over a closed contour.
+
+    At nu = 0 the constant 1 is a solution, so f = 1 gives int u_z dz = 0 and
+    u = 1 gives Re int d_z(1/f) dz = 0: the potential-free reductions.
+    """
     _require_closed(gamma)
     check_nonvanishing(f, "f")
     _require_schrodinger_solution(f, nu, "f")
     _require_schrodinger_solution(u, nu, "u")
     g = d_z(u / f)
-    g_weighted = g * (f * f)
-
-    def residual_at(c: Contour) -> float:
-        i1 = line_integral_dz(g, c)
-        i2 = line_integral_dz(g_weighted, c)
-        return abs(i1.real) + abs(i2.imag)
-
-    return _with_refinement("cauchy-schrodinger", residual_at, gamma, tolerance, refine)
+    return _contour_check("cauchy-schrodinger", g, g * (f * f), gamma, tolerance, refine)
 
 
-def cauchy_laplace_reductions(
-    field: Field,
-    gamma: Contour,
-    kind: str = "derivative",
-    tolerance: float = 1e-10,
-    refine: int = 0,
-) -> Check:
-    """The nu = 0 reductions: int u_z dz = 0 and Re int d_z(1/f) dz = 0.
-
-    kind "derivative" checks the first for a harmonic field; kind
-    "reciprocal" checks the second for a harmonic nonvanishing field.
-    """
-    _require_closed(gamma)
-    require_at_most(laplacian(field), HARMONIC_TOL, NotASolutionError, "input (must be harmonic)")
-    if kind == "derivative":
-        integrand = d_z(field)
-
-        def residual_at(c: Contour) -> float:
-            return abs(line_integral_dz(integrand, c))
-
-    elif kind == "reciprocal":
-        check_nonvanishing(field, "f")
-        integrand = d_z(1.0 / field)
-
-        def residual_at(c: Contour) -> float:
-            return abs(line_integral_dz(integrand, c).real)
-
-    else:
-        raise ValueError(f"unknown reduction kind {kind!r}")
-    return _with_refinement(f"laplace-{kind}", residual_at, gamma, tolerance, refine)
-
-
-def _with_refinement(name, residual_at, gamma: Contour, tolerance, refine) -> Check:
+def _contour_check(name, g1: Field, g2: Field, gamma: Contour, tolerance, refine) -> Check:
+    """|Re int g1 dz| + |Im int g2 dz| on ``gamma`` with its nodes doubled
+    ``refine`` times, one row a level; the finest level's is the residual.
+    A g2 whose tree is g1's is integrated once."""
     table = []
     for level in range(refine + 1):
-        g = gamma.with_nodes(gamma.resolution() * 2**level)
-        table.append((float(g.resolution()), residual_at(g)))
+        c = gamma.with_nodes(gamma.resolution() * 2**level)
+        i1 = line_integral_dz(g1, c)
+        i2 = i1 if g2.expr is g1.expr else line_integral_dz(g2, c)
+        table.append((float(c.resolution()), abs(i1.real) + abs(i2.imag)))
     return verdict(name, table[-1][1], tolerance, table)
 
 

@@ -15,9 +15,9 @@ from riccati2d import (
     Contour,
     DomainSpec,
     ExprField,
+    Field,
     GridField,
     Point,
-    cauchy_laplace_reductions,
     cauchy_riccati,
     cauchy_schrodinger,
     constant_field,
@@ -227,18 +227,16 @@ def test_07_contour_theorems(centered_square):
 
 
 def test_08_potential_free_reductions(centered_square):
-    """Harmonic cases < 1e-10; non-harmonic input rejected."""
+    """Harmonic cases < 1e-10; non-harmonic input rejected.  The reductions are
+    cauchy_schrodinger at nu = 0 with 1 as f (int u_z dz = 0) or as u."""
     gamma = Contour.circle(0.0, 0.0, 1.0, 256)
-    r1 = cauchy_laplace_reductions(
-        ExprField(centered_square, "x**2 - y**2 + 3*x*y"), gamma, kind="derivative"
+    one, zero = Field(centered_square, 1.0), Field(centered_square, 0.0)
+    r1 = cauchy_schrodinger(
+        one, ExprField(centered_square, "x**2 - y**2 + 3*x*y"), gamma, zero
     ).value
-    r2 = cauchy_laplace_reductions(
-        ExprField(centered_square, "4 + x"), gamma, kind="reciprocal"
-    ).value
+    r2 = cauchy_schrodinger(ExprField(centered_square, "4 + x"), one, gamma, zero).value
     try:
-        cauchy_laplace_reductions(
-            ExprField(centered_square, "x**2 + y**2"), gamma, kind="derivative"
-        )
+        cauchy_schrodinger(one, ExprField(centered_square, "x**2 + y**2"), gamma, zero)
         rejected = False
     except NotASolutionError:
         rejected = True

@@ -375,6 +375,40 @@ def test_permuted_config_lines_give_the_same_identities(data):
     assert _identities("\n".join(lines) + "\n") == _identities(text)
 
 
+@given(
+    u=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+    f=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.3, 0.3)),
+    refine=st.integers(0, 2),
+    bumped=st.sampled_from(("u", "f")),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_laplace_reductions_on_harmonic_quadratics(u, f, refine, bumped):
+    """A harmonic u and a positive harmonic f pass with two refinement rows a level;
+    adding 1e-3 (x^2 + y^2) to either fails the solution gate that names it."""
+    a, b, c, d = u
+    p, q, r = f
+    texts = {
+        "u": f"{a!r}*(x**2-y**2) + {b!r}*x*y + {c!r}*x + {d!r}*y",
+        "f": f"4 + {p!r}*x + {q!r}*y + {r!r}*(x**2-y**2)",
+    }
+
+    def entry():
+        text = (
+            f"case = laplace-reductions\ndomain = -1.2 1.2 -1.2 1.2\nrefine = {refine}\n"
+            f"u = {texts['u']}\nf = {texts['f']}\n"
+        )
+        [identity] = run(parse_config(text))["identities"]
+        return identity
+
+    harmonic = entry()
+    assert harmonic["pass"] and harmonic["residual"] < 1e-10
+    assert len(harmonic["refinement"]) == 2 * (refine + 1)
+    texts[bumped] += " + 0.001*(x**2+y**2)"
+    bump = entry()
+    assert not bump["pass"]
+    assert (bump["error_type"], bump["what"]) == ("NotASolutionError", bumped)
+
+
 def test_determinism_modulo_timings():
     cfg = parse_config("case = all\n")
     a, b = mask_timings(run(cfg)), mask_timings(run(cfg))
@@ -584,6 +618,16 @@ def test_non_finite_residual_is_null_in_strict_json(tmp_path):
     payload = out.read_text()
     assert "NaN" not in payload and "Infinity" not in payload
     entry = json.loads(payload)["identities"][0]
+    assert entry["residual"] is None and not entry["pass"]
+
+
+def test_a_non_finite_second_half_fails_laplace_reductions():
+    """f = 1e200 (4 + x) overflows f^2 in the u = 1 half, whose row reads NaN: the
+    case fails with a null residual, never passes on the other half's residual."""
+    text = "case = laplace-reductions\ndomain = -1.2 1.2 -1.2 1.2\nf = 1e200*(4+x)\n"
+    with np.errstate(all="ignore"):
+        [entry] = run(parse_config(text))["identities"]
+    assert entry["refinement"][1][1] is None
     assert entry["residual"] is None and not entry["pass"]
 
 

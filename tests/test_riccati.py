@@ -13,6 +13,7 @@ from riccati2d import (
     DegeneratePairError,
     DomainSpec,
     ExprField,
+    Field,
     GateError,
     NonvanishingError,
     NotASolutionError,
@@ -20,7 +21,7 @@ from riccati2d import (
     ParameterError,
     Point,
     ZeroSetError,
-    cauchy_laplace_reductions,
+    cauchy_schrodinger,
     check_nonvanishing,
     constant_field,
     darboux_potential_eta,
@@ -205,7 +206,9 @@ def _oracle_with(u, Q, nu):
         (lambda u, f, Q, nu: check_nonvanishing(f, "f"), NonvanishingError),
         (lambda u, f, Q, nu: log_derivative(f), ZeroSetError),
         (
-            lambda u, f, Q, nu: cauchy_laplace_reductions(f, Contour.circle(0.5, 0.5, 0.25)),
+            lambda u, f, Q, nu: cauchy_schrodinger(
+                Field(f.domain, 1.0), f, Contour.circle(0.5, 0.5, 0.25), Field(f.domain, 0.0)
+            ),
             NotASolutionError,
         ),
         (lambda u, f, Q, nu: euler_second_baseline(Q, Point(0.5, 0.5), 4), NotASolutionError),
@@ -244,8 +247,11 @@ def _pinned_inputs(square):
         "pair": lambda: picard_identity(
             Q, Q, exp_family(1.0, 2.0).Q, exp_family(1.0, 4.0).Q, nu
         ),
-        "harmonic": lambda: cauchy_laplace_reductions(
-            ExprField(square, "x*x"), Contour.circle(0.5, 0.5, 0.25)
+        "harmonic": lambda: cauchy_schrodinger(
+            Field(square, 1.0),
+            ExprField(square, "x*x"),
+            Contour.circle(0.5, 0.5, 0.25),
+            Field(square, 0.0),
         ),
         "bounded": lambda: _require_bounded(constant_field(2e6, square), "Q0"),
         "oracle-u": lambda: separable_family(-1.0, 0.0, shift1=math.pi / 2),
@@ -294,8 +300,8 @@ _PINNED_GATES = [
     (
         "harmonic",
         NotASolutionError,
-        "input (must be harmonic) is not a solution: residual 2.000e+00 exceeds 1.000e-06",
-        Check("input (must be harmonic)", 2.0, 1e-6, False),
+        "u is not a solution: residual 2.000e+00 exceeds 1.000e-06",
+        Check("u", 2.0, 1e-6, False),
     ),
     (
         "bounded",
