@@ -24,7 +24,6 @@ from .field import (
     Field,
     GridField,
     Point,
-    laplacian,
     max_abs,
     read_grid_csv,
     write_grid_csv,
@@ -275,10 +274,9 @@ def _run_darboux(cfg: RunConfig, tol: float):
     nu = _load(cfg.nu, "1", domain)
     v = darboux_v_from_u(u, f)
     eta = darboux_potential_eta(f, nu)
-    darboux_resid = -laplacian(v) + eta * v
-    r1 = max_abs(darboux_resid, nx=21, ny=21)
+    r1 = max_abs(schrodinger_residual(v, eta), nx=21, ny=21)
     u_back = darboux_u_from_v(v, f)
-    alpha = (u_back.evaluate(domain.base) - u.evaluate(domain.base)) / f.evaluate(domain.base)
+    alpha = -u.evaluate(domain.base) / f.evaluate(domain.base)  # u_back(base) = 0
     r2 = max_abs(u_back - alpha * f - u, 21, 21)
     residual = max(r1, r2)
     return verdict("darboux", residual, tol, [(21.0, residual)]), {"darboux_conjugate": v}

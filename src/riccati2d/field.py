@@ -124,12 +124,8 @@ class DomainSpec:
         return np.meshgrid(xs[0], ys[:, 0])
 
     def contains(self, x, y, tol: float = 1e-12) -> bool:
-        return bool(
-            np.all(x >= self.x_min - tol)
-            and np.all(x <= self.x_max + tol)
-            and np.all(y >= self.y_min - tol)
-            and np.all(y <= self.y_max + tol)
-        )
+        x_in = (x >= self.x_min - tol) & (x <= self.x_max + tol)  # NaN is outside
+        return bool(np.all(x_in & (y >= self.y_min - tol) & (y <= self.y_max + tol)))
 
 
 # ---------------------------------------------------------------------------

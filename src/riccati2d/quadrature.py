@@ -316,8 +316,7 @@ class _Lines:
     A request from the same roots whose span meets the first and the last of these
     panels and reaches past neither takes the same rounds on the same panels, so its
     own certification would be this one, bit for bit.  A narrower span is certified
-    again: the K15 sums of a round are one matrix product over its panels, whose bits
-    may depend on how many panels it holds."""
+    again: a leaf nested in the integrand is then asked at other nodes, so it can move."""
 
     __slots__ = ("roots", "a", "b", "nodes", "sums")
 
@@ -347,7 +346,9 @@ def _certify_lines(phi: Field, axis: int, roots: tuple, start: float, lo: float,
                    across: np.ndarray) -> _Lines:
     """The rounds of one line set for the span [lo, hi]: phi is evaluated once per round,
     on every line, at the nodes of the panels that meet (lo, hi) and are not yet
-    certified; a panel that holds for every line is kept, the others are bisected."""
+    certified; each panel's K15 sums are its own (lines, 15) @ (15, 3) product, so their
+    bits do not depend on the round; a panel that holds for every line is kept, the
+    others are bisected."""
     edges = np.array(roots)
     a, b = edges[:-1], edges[1:]
     lefts, rights, ks, nodes, taken = [], [], [], [], 0
@@ -357,7 +358,7 @@ def _certify_lines(phi: Field, axis: int, roots: tuple, start: float, lo: float,
         v = _panel_values(phi, axis, a, b, across)
         if not np.isfinite(v).all():
             raise _non_finite(a.size)
-        k, ok = _certify((v @ _PANEL_SUMS).transpose(2, 0, 1), b - a)
+        k, ok = _certify((v.transpose(1, 0, 2) @ _PANEL_SUMS).transpose(2, 1, 0), b - a)
         ok = ok.all(axis=0)
         at = np.flatnonzero(ok)
         lefts.append(a[at])

@@ -3,7 +3,7 @@
 Residual diagnostics, the logarithmic derivative and its exponential inverse,
 the second-order operator factorization, the Darboux transform pair, and the
 first Euler-type conversions between Riccati solutions and solutions of the
-associated real-linear first-order system.
+associated real-linear first-order system, W = e^{A[Q]} + i (its Darboux conjugate).
 
 An equation is fixed by its potential alone, the field ``nu`` of the functions
 that read it; antiderivatives start at the base of their integrand's rectangle.
@@ -111,21 +111,17 @@ def darboux_potential_eta(f: Field, nu: Field) -> Field:
 
 
 def euler_first_W_from_Q(Q: Field, Q0: Field, nu: Field) -> Field:
-    """Solution W of the real-linear system generated by Q0, with Re W = e^{A[Q]}.
+    """Solution W = u + i v of the real-linear system generated by Q0: u = e^{A[Q]}
+    and v its Darboux conjugate with respect to f0 = e^{A[Q0]}, as u / f0 = e^{A[Q - Q0]}.
 
-    W = e^{A[Q]} + i e^{-A[Q0]} Abar[i e^{2 A[Q0]} d_zbar(e^{A[Q - Q0]})].
     Both inputs must solve the Riccati equation to tolerance and Q0 must be
     bounded on the closed rectangle.
     """
     _require_riccati_solution(Q0, nu, "Q0")
     _require_riccati_solution(Q, nu, "Q")
     _require_bounded(Q0, "Q0")
-    f0 = exp_field(op_A(Q0))
-    u = exp_field(op_A(Q))
-    e_diff = exp_field(op_A(Q - Q0))
-    arg = 1j * (d_zbar(e_diff) * (f0 * f0))
-    v = op_Abar(arg) / f0
-    return u + 1j * v
+    f0, u = exp_reconstruct(Q0), exp_reconstruct(Q)
+    return u + 1j * darboux_v_from_u(u, f0)
 
 
 def euler_first_Q_from_W(W: Field) -> Field:

@@ -22,16 +22,16 @@ from .field import (
     check_nonvanishing,
     d_z,
     d_zbar,
-    exp_field,
     max_abs,
     require_above,
     require_at_most,
 )
-from .quadrature import Contour, line_integral_dz, op_A
+from .quadrature import Contour, line_integral_dz
 from .riccati import (
     _require_bounded,
     _require_riccati_solution,
     _require_schrodinger_solution,
+    exp_reconstruct,
 )
 
 PICARD_MARGIN_CELLS = 2
@@ -118,8 +118,8 @@ def cauchy_riccati(
     _require_bounded(Q0, "Q0")
     _require_bounded(Q1, "Q1")
     diff = Q1 - Q0
-    e_diff = exp_field(op_A(diff))
-    e_sum = exp_field(op_A(Q1 + Q0))
+    e_diff = exp_reconstruct(diff)
+    e_sum = exp_reconstruct(Q1 + Q0)
     return _contour_check("cauchy-riccati", diff * e_diff, diff * e_sum, gamma, tolerance, refine)
 
 

@@ -50,6 +50,18 @@ def test_domain_validation():
         DomainSpec(0.0, 1.0, 0.0, 1.0, 2, 5)
 
 
+def test_contains_keeps_its_tolerance_and_takes_nan_as_outside():
+    """A point within 1e-12 of an edge lies inside; a NaN coordinate, or any point
+    of an array argument beyond the tolerance, lies outside."""
+    d = DomainSpec(0.0, 1.0, 0.0, 1.0)
+    assert d.contains(1.0 + 1e-12, -1e-12)
+    assert not d.contains(1.0 + 3e-12, 0.5) and not d.contains(0.5, -3e-12)
+    assert not d.contains(math.nan, 0.5) and not d.contains(0.5, math.nan)
+    assert d.contains(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0]]))
+    assert not d.contains(np.array([0.0, 1.5]), 0.5)
+    assert not d.contains(np.array([0.5, 0.5]), np.array([0.5, math.nan]))
+
+
 def test_domain_base_defaults_to_lower_left(unit_square):
     assert unit_square.base == Point(0.0, 0.0)
     d = DomainSpec(-1.0, 2.0, 3.0, 4.0)

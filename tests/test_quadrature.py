@@ -843,6 +843,21 @@ def test_gathered_sample_equals_the_sorted_sample_bit_for_bit(data):
     assert np.array_equal(A(xs[0], ys), sorted_sample)
 
 
+def test_a_narrower_span_reads_the_whole_column_bits():
+    """A round's K15 sums are one (lines, 15) @ (15, 3) product per panel, so a
+    panel's bits do not depend on how many panels the round holds: the ordinates
+    above the base, whose span drops the root panel below it, read the bits of
+    the same ordinates asked with the whole column."""
+    domain = DomainSpec(0.0, 1.0, 0.0, 1.0, 41, 41, Point(0.37, 0.41))
+    phi = ExprField(domain, "sin(9*x)*cosh(3*y) + x*y")
+    _, ys = domain.axes()
+    above = ys[:, 0] >= 0.425
+    x = np.array([[0.37]])
+    whole = op_A(d_z(phi), AntiderivativeConfig(domain.base))(x, ys)
+    part = op_A(d_z(phi), AntiderivativeConfig(domain.base))(x, ys[above])
+    assert np.array_equal(part, whole[above])
+
+
 def test_non_finite_nested_integrand_raises(unit_square):
     """An inner leaf whose integrand is infinite raises while the outer leaf's
     integrand, the inner leaf itself, is evaluated at the outer leaf's nodes."""

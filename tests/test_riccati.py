@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati2d import (
     Check,
@@ -176,6 +178,37 @@ def test_euler_first_q_recovery():
     Q_back = euler_first_Q_from_W(W)
     xg, yg = sol0.domain.mesh(15, 15)
     assert np.max(np.abs(Q_back(xg, yg) - sol1.Q(xg, yg))) < 1e-10
+
+
+_ANGLES = st.floats(-math.pi, math.pi)
+_SHIFTS = st.floats(-1.0, 1.0)
+_EULER_PAIRS = st.one_of(
+    st.builds(
+        lambda nu, t0, t1: (exp_family(nu, t0), exp_family(nu, t1)),
+        st.floats(0.25, 4.0), _ANGLES, _ANGLES,
+    ),
+    st.builds(
+        lambda s1, s2, s: (
+            separable_family(1.0, 1.0, "cosh", "cosh", shift1=s1, shift2=s2),
+            separable_family(2.0, 0.0, "cosh", shift1=s),
+        ),
+        _SHIFTS, _SHIFTS, _SHIFTS,
+    ),
+)
+
+
+@given(pair=_EULER_PAIRS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_euler_first_is_the_darboux_conjugate(pair):
+    """W = e^{A[Q1]} + i v, v the Darboux conjugate of e^{A[Q1]} with respect to
+    f0 = e^{A[Q0]}: W solves the Vekua equation of f0 and gives Q1 back."""
+    sol0, sol1 = pair
+    W = euler_first_W_from_Q(sol1.Q, sol0.Q, sol0.nu)
+    f0 = exp_reconstruct(sol0.Q)
+    assert max_abs(vekua_residual(W, f0), nx=15, ny=15) < 1e-12
+    assert max_abs(euler_first_Q_from_W(W) - sol1.Q, 15, 15) < 1e-12
+    v = darboux_v_from_u(exp_reconstruct(sol1.Q), f0)
+    assert max_abs(W.im - v) < 1e-13
 
 
 def test_euler_first_rejects_non_solution():
