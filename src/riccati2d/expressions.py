@@ -19,7 +19,9 @@ Nodes are interned: a constructor returns the live node of its class on the
 same operands (nodes by identity, numbers by type and bits: 0.0 is not -0.0),
 and a ``Given`` leaf is always new; so equal trees are one object, and ``==``
 and ``hash`` are identity.  ``add`` folds c*X + (-c)*X, one X and a finite c,
-to ``ZERO``, which reads 0 even where c*X overflows or a quotient in X is singular.
+to ``ZERO``, which reads 0 even where c*X overflows or a quotient in X is singular;
+``mul`` folds a*(b/a) and (b/a)*a to b, which reads b also where a vanishes (a
+removable singularity).
 
 Differentiation reuses its operands, so derivatives are DAGs: ``diff`` is
 memoised per node and variable.  ``evaluate`` is the one way to evaluate a
@@ -445,6 +447,10 @@ def mul(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
+    if isinstance(b, Div) and b.b is a:  # a (c / a) = c, also where a vanishes
+        return b.a
+    if isinstance(a, Div) and a.b is b:
+        return a.a
     # fold nested constant factors so repeated differentiation stays compact
     if isinstance(a, Const) and isinstance(b, Mul) and isinstance(b.a, Const):
         return mul(Const(a.value * b.a.value), b.b)

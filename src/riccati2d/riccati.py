@@ -62,8 +62,12 @@ def log_derivative(u: Field) -> Field:
 
 
 def exp_reconstruct(Q: Field) -> Field:
-    """u = exp of the d_z-antiderivative of Q; normalized so u(base) = 1."""
-    return exp_field(op_A(Q))
+    """u = exp of the d_z-antiderivative of Q; normalized so u(base) = 1.  Kept on Q,
+    so every reconstruction from one field is one leaf, integrated once."""
+    u = Q.__dict__.get("_exp_reconstruct")
+    if u is None:
+        u = Q.__dict__["_exp_reconstruct"] = exp_field(op_A(Q))
+    return u
 
 
 def factorization_apply(Q: Field, phi: Field, nu: Field) -> tuple[Field, Field, Field]:
@@ -99,7 +103,8 @@ def darboux_v_from_u(u: Field, f: Field) -> Field:
 
 
 def darboux_u_from_v(v: Field, f: Field) -> Field:
-    """Inverse transform: u = -f * Abar(i f^-2 d_zbar(f v)), up to an additive c*f."""
+    """Inverse transform: u = -f * Abar(i f^-2 d_zbar(f v)), up to an additive c*f.  For
+    v = L / f, f v folds to v's leaf L, so the integrand is L's exact partials."""
     check_nonvanishing(f, "f")
     arg = 1j * (d_zbar(f * v) / (f * f))
     return -(f * op_Abar(arg))

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riccati2d import (
@@ -363,6 +363,33 @@ def test_fold_needs_one_node_and_finite_opposite_constants():
         assert isinstance(residual, ex.Add)
         with np.errstate(invalid="ignore"):
             assert np.isnan(ex.evaluate(residual, 0.5, 0.0))
+
+
+@given(steps_a=_STEPS, steps_b=_STEPS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_product_with_a_quotient_by_itself_folds(steps_a, steps_b):
+    """a (b / a) and (b / a) a are b for a tree a that is no constant; the unfolded
+    product reads b to a few ulps where |a| is bounded away from 0."""
+    try:
+        a, b = _tree(steps_a), _tree(steps_b)
+    except SingularityError:  # a quotient by a zero constant
+        assume(False)
+    assume(not isinstance(a, ex.Const))
+    assert ex.mul(a, ex.div(b, a)) is b and ex.mul(ex.div(b, a), a) is b
+    x, y = _BATCH
+    a_values, error = _outcome(functools.partial(ex.evaluate, a), x, y)
+    assume(error is None)
+    with np.errstate(all="ignore"):
+        a_values = np.broadcast_to(a_values, x.shape)
+        keep = np.isfinite(a_values) & (np.abs(a_values) > 0.1) & (np.abs(a_values) < 10.0)
+        assume(keep.any())
+        want, error = _outcome(functools.partial(ex.evaluate, b), x[keep], y[keep])
+        assume(error is None)
+        want = np.broadcast_to(want, x[keep].shape)
+        got = ex.evaluate(ex.Mul(a, ex.Div(b, a)), x[keep], y[keep])
+        finite = np.isfinite(want) & (np.abs(want) < 1e300)
+        gap = np.abs(got - want)[finite]
+    assert np.all(gap <= 8 * np.finfo(float).eps * np.abs(want[finite]))
 
 
 def test_a_dead_node_leaves_the_table_and_only_its_own_entry():

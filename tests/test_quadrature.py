@@ -590,25 +590,71 @@ def _exp_text(theta):
 
 
 def test_darboux_41_halves_the_integrand_points(monkeypatch):
-    """The nested antiderivatives of darboux at 41^2 (v's leaf inside u_back's
-    Phi) take panels sized to their exp integrands, and v's leaf certifies its
-    base column and each of its two row sets once: 1,275 integrand points in 5
-    evaluations, against 1,635 in 9 when each request on those lines ran its
-    rounds again, 45,780 with one panel per cell and 138,180 when each nesting
-    level also placed 15 nodes in each cell of the level above."""
+    """The antiderivatives of darboux at 41^2 take panels sized to their exp
+    integrands, and each leaf certifies its base column and its row set once:
+    660 integrand points in 4 evaluations, against 1,275 in 5 when u_back's Phi
+    held v's leaf, 1,635 in 9 when each request on those lines ran its rounds
+    again, 45,780 with one panel per cell and 138,180 when each nesting level
+    also placed 15 nodes in each cell of the level above."""
     text = (
         f"case = darboux\ndomain = 0 1 0 1 41 41\n"
         f"u = {_exp_text(0.93)}\nf = {_exp_text(-0.5)}\n"
     )
     points = _count_integrand(monkeypatch)
     assert run(parse_config(text))["identities"][0]["pass"] is True
-    assert sum(points) == 1_275
-    assert len(points) == 5
+    assert sum(points) == 660
+    assert len(points) == 4
+
+
+def test_darboux_integrand_points_do_not_grow_with_the_mesh(monkeypatch):
+    """u_back's Phi holds no leaf, so no gate samples a leaf on the case's mesh:
+    darboux takes the same 660 integrand points at 41^2, 81^2 and 161^2 (1,275,
+    1,875 and 3,075 when v's leaf was nested in u_back's Phi)."""
+    points = _count_integrand(monkeypatch)
+    for n in (41, 81, 161):
+        text = (
+            f"case = darboux\ndomain = 0 1 0 1 {n} {n}\n"
+            f"u = {_exp_text(0.93)}\nf = {_exp_text(-0.5)}\n"
+        )
+        points.clear()
+        assert run(parse_config(text))["identities"][0]["pass"] is True
+        assert (sum(points), len(points)) == (660, 4)
+
+
+@pytest.mark.parametrize(
+    "perturb, residual",
+    [
+        # u_back's leaf scales with v's: r2 = 1e-3 max |u + alpha f| on the 21^2 mesh
+        (lambda value, x, y: value * (1.0 + 1e-3), 1.3734350261502826e-3),
+        # r2 = max |f| 1e-6 |sin(3x + 2y)|, f = e^x, near its peak e at x = 1
+        (lambda value, x, y: value + 1e-6 * np.sin(3.0 * x + 2.0 * y), 2.71807322071993e-6),
+        # u_back(base) = -f(base) 1e-3, not 0: r2 = max |f| 1e-3 = e 1e-3
+        (lambda value, x, y: value + 1e-3, 2.718281828460345e-3),
+    ],
+    ids=["relative", "additive", "constant"],
+)
+def test_darboux_fails_on_perturbed_leaf_values(monkeypatch, perturb, residual):
+    """Every antiderivative leaf's values perturbed, darboux fails on its round trip
+    r2, through u_back's own leaf.  r1 cannot see it: with exact partials, v = L / f
+    meets L's values only in L (-Laplace + eta)(1/f) = L (Laplace f - nu f) / f^2 = 0,
+    and u_back's Phi is built from L's partials alone."""
+    l_path_value = quadrature._l_path_value
+
+    def perturbed(Phi, base):
+        value = l_path_value(Phi, base)
+        return lambda x, y: perturb(value(x, y), x, y)
+
+    monkeypatch.setattr(quadrature, "_l_path_value", perturbed)
+    entry = run(parse_config("case = darboux\n"))["identities"][0]
+    assert entry["pass"] is False
+    assert entry["residual"] == pytest.approx(residual, rel=1e-9)
 
 
 def test_euler1_with_separable_cosh_oracles_runs_quadrature(monkeypatch):
     """The exp_family oracles of euler1 have constant Q, whose antiderivatives take
-    no quadrature; a pair of cosh oracles keeps the quadrature path of euler1 tested."""
+    no quadrature; a pair of cosh oracles keeps the quadrature path of euler1 tested.
+    The Vekua residual reads the f0 leaf that W was built with: 3,630 integrand
+    points in 10 evaluations, against 4,485 in 13 when it integrated a second f0."""
     text = (
         "case = euler1\n"
         "oracle = separable nu1=1 nu2=1 branch1=cosh branch2=cosh\n"
@@ -616,7 +662,7 @@ def test_euler1_with_separable_cosh_oracles_runs_quadrature(monkeypatch):
     )
     points = _count_integrand(monkeypatch)
     assert run(parse_config(text))["identities"][0]["pass"] is True
-    assert sum(points) > 0
+    assert (sum(points), len(points)) == (3_630, 10)
 
 
 _POINT = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0))

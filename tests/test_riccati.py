@@ -159,6 +159,23 @@ def test_darboux_round_trip_up_to_multiple_of_f():
     assert err < 1e-10
 
 
+def test_inverse_darboux_integrand_holds_no_leaf(monkeypatch):
+    """f v is v's leaf L itself, so the integrand i f^-2 d_zbar(f v) of the inverse
+    transform is built from L's exact partials: its tree holds no Given leaf, and
+    no quadrature is nested in the inverse's own."""
+    from riccati2d import riccati
+
+    _, f, u = darboux_setup()
+    v = darboux_v_from_u(u, f)
+    integrands = []
+    op_Abar = riccati.op_Abar
+    monkeypatch.setattr(riccati, "op_Abar", lambda Phi: integrands.append(Phi) or op_Abar(Phi))
+    darboux_u_from_v(v, f)
+    (Phi,) = integrands
+    assert v.expr._plan.leaves != ()
+    assert Phi.expr._plan.leaves == ()
+
+
 def euler_setup():
     sol0 = exp_family(1.0, 0.0)
     sol1 = exp_family(1.0, math.atan2(0.8, 0.6))
