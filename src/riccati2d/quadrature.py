@@ -12,16 +12,16 @@ bisected from [side start, base] and [base, side end] until each is certified
 by the Legendre tail of its K15 interpolant, (|c13| + |c14|) * h <=
 SEGMENT_REL_TOL * (|K15| + 1), and a target's value is the sum of the panel
 integrals from the base plus the partial integral in its own panel, the
-antiderivative of the panel's interpolant.  A tensor grid certifies each panel
-for all its rows at once, and the leaf keeps that certification for its latest
-line sets, so a later request on the same lines within the same panels only
+antiderivative of the panel's interpolant.  A tensor grid certifies every panel
+of its side for all its rows at once, and the leaf keeps that certification for
+its latest line sets, so a later request on the same lines, at any targets, only
 assembles its values; any other batch (contour nodes, dense arrays, single
-points) certifies each point's panels for that point alone, on panels and nodes
-that the batch shares, so that a point's value does not depend on its batch.
-Either way the integrand is asked at a tensor grid of panel nodes, in chunks
-of lines that share one sample of its leaves, and a leaf nested in it takes
-the same path.  A non-finite value, or a point still
-uncertified at MAX_PANELS panels, raises QuadratureError.
+points) certifies the panels that meet the span of each point's target and the
+base for that point alone, on panels and nodes that the batch shares, so that a
+point's value does not depend on its batch.  Either way the integrand is asked at
+a tensor grid of panel nodes, in chunks of lines that share one sample of its
+leaves, and a leaf nested in it takes the same path.  A non-finite value, or a
+point still uncertified at MAX_PANELS panels, raises QuadratureError.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ COMPAT_TOL = 1e-8  # the max sampled compatibility residual that op_A and op_Aba
 MAX_PANELS = 2**14
 _MAX_BATCH = 1_000_000  # integrand points per evaluation chunk; bounds memory only
 # an antiderivative keeps the certification of this many latest line sets per axis:
-# darboux asks its inner leaf on the rows of the residual's mesh and of the sample's
+# euler1 asks its f0 leaf on the rows of its gates' mesh and of the 15^2 residual mesh
 _KEPT = 2
 
 
@@ -308,28 +308,21 @@ def _edge_sums(lefts: np.ndarray, k: np.ndarray, start: float):
 
 
 class _Lines:
-    """One line set's certification along one axis, from the root panels whose edges
-    are ``roots``: the panels [a, b] that hold for every line, in order, with their K15
-    node values, (lines, 15) floats each, so lines x panels x 15 in all, and the sums of
-    the panel integrals from the start at each edge, (lines, panels + 1).
+    """One line set's certification along one axis, over the whole of its root panels:
+    the panels [a, b] that hold for every line, in order, with their K15 node values,
+    (lines, 15) floats each, so lines x panels x 15 in all, and the sums of the panel
+    integrals from the start at each edge, (lines, panels + 1).  It depends on the roots
+    and the lines alone, so it serves any targets between the roots."""
 
-    A request from the same roots whose span meets the first and the last of these
-    panels and reaches past neither takes the same rounds on the same panels, so its
-    own certification would be this one, bit for bit.  A narrower span is certified
-    again: a leaf nested in the integrand is then asked at other nodes, so it can move."""
+    __slots__ = ("a", "b", "nodes", "sums")
 
-    __slots__ = ("roots", "a", "b", "nodes", "sums")
-
-    def __init__(self, roots: tuple, a: np.ndarray, b: np.ndarray, nodes: tuple, sums: np.ndarray):
-        self.roots, self.a, self.b, self.nodes, self.sums = roots, a, b, nodes, sums
-
-    def serves(self, roots: tuple, lo: float, hi: float) -> bool:
-        return roots == self.roots and self.a[0] <= lo < self.b[0] and self.a[-1] < hi <= self.b[-1]
+    def __init__(self, a: np.ndarray, b: np.ndarray, nodes: tuple, sums: np.ndarray):
+        self.a, self.b, self.nodes, self.sums = a, b, nodes, sums
 
     def at(self, targets: np.ndarray) -> np.ndarray:
-        """The integrals at sorted distinct ``targets`` that this certification serves, one
-        row per line: the edge sum of the target's panel plus the panel's partial integral,
-        by one matrix product per panel.  A target on the last edge is that edge's sum."""
+        """The integrals at sorted distinct ``targets`` between the roots, one row per line:
+        the edge sum of the target's panel plus the panel's partial integral, by one matrix
+        product per panel.  A target on the last edge is that edge's sum."""
         out = np.empty((self.sums.shape[0], targets.size))
         out[:, -1] = self.sums[:, -1]  # the last target may sit on the last edge, in no panel
         first, last = np.searchsorted(targets, self.a), np.searchsorted(targets, self.b)
@@ -342,19 +335,16 @@ class _Lines:
         return out
 
 
-def _certify_lines(phi: Field, axis: int, roots: tuple, start: float, lo: float, hi: float,
-                   across: np.ndarray) -> _Lines:
-    """The rounds of one line set for the span [lo, hi]: phi is evaluated once per round,
-    on every line, at the nodes of the panels that meet (lo, hi) and are not yet
-    certified; each panel's K15 sums are its own (lines, 15) @ (15, 3) product, so their
-    bits do not depend on the round; a panel that holds for every line is kept, the
-    others are bisected."""
+def _certify_lines(phi: Field, axis: int, roots: tuple, start: float, across: np.ndarray) -> _Lines:
+    """The rounds of one line set over every panel between its roots: phi is evaluated
+    once per round, on every line, at the nodes of the panels not yet certified; each
+    panel's K15 sums are its own (lines, 15) @ (15, 3) product, so their bits do not
+    depend on the round; a panel that holds for every line is kept, the others are
+    bisected."""
     edges = np.array(roots)
     a, b = edges[:-1], edges[1:]
     lefts, rights, ks, nodes, taken = [], [], [], [], 0
     while True:
-        meet = (b > lo) & (a < hi)
-        a, b = a[meet], b[meet]
         v = _panel_values(phi, axis, a, b, across)
         if not np.isfinite(v).all():
             raise _non_finite(a.size)
@@ -373,7 +363,7 @@ def _certify_lines(phi: Field, axis: int, roots: tuple, start: float, lo: float,
             raise _too_many(a.size - at.size)
         a, b = _bisect(a[~ok], b[~ok])
     order, lefts, sums = _edge_sums(np.concatenate(lefts), np.concatenate(ks, axis=1), start)
-    return _Lines(roots, lefts, np.concatenate(rights)[order], tuple(nodes[i] for i in order), sums)
+    return _Lines(lefts, np.concatenate(rights)[order], tuple(nodes[i] for i in order), sums)
 
 
 class _Along:
@@ -381,18 +371,19 @@ class _Along:
     ``side``, one row per coordinate of ``across`` (ordinates for axis 0, abscissae for
     axis 1), for one antiderivative leaf.
 
-    A row takes, from the root panels down, the first certified panel that meets the
-    span of its targets and start.  Each round evaluates phi once, at the nodes of the
-    panels that some row needs, on each distinct line that needs them.  A target's
-    value is the sum of its row's panels from start, outward, to the edge of its panel,
-    plus the partial integral from that edge.
+    Each round evaluates phi once, at the nodes of the panels that some row needs, on
+    each distinct line that needs them.  A target's value is the sum of its row's panels
+    from start, outward, to the edge of its panel, plus the partial integral from that
+    edge.
 
-    ``shared`` certifies a panel for every row at once, so all rows take one partition,
-    and keeps the certification (``_Lines``) of its latest _KEPT line sets, keyed by
-    their coordinates: a request on kept lines that the kept certification serves
-    evaluates nothing and runs no round, and a certification that raised is not kept.
-    ``each`` certifies each row's panels for that row alone, on panels and lines that the
-    rows share, so that a row's value does not depend on the others; it keeps nothing.
+    ``shared`` certifies every panel between the roots for every row at once, so all
+    rows take one partition of the whole side, and keeps the certification (``_Lines``)
+    of its latest _KEPT line sets, keyed by their roots and coordinates: a request on
+    kept lines evaluates nothing and runs no round, whatever its targets, and a
+    certification that raised is not kept.  ``each`` takes, for each row, from the root
+    panels down, the first panel certified for that row alone that meets the span of its
+    target and start, on panels and lines that the rows share, so that a row's value
+    does not depend on the others; it keeps nothing.
     """
 
     def __init__(self, phi: Field, axis: int, side: tuple, start: float):
@@ -406,11 +397,10 @@ class _Along:
             return np.zeros((across.size, targets.size))
         if not np.isfinite(targets).all():
             raise QuadratureError("segment quadrature got a non-finite target")
-        lo, hi = min(float(targets[0]), start), max(float(targets[-1]), start)
-        roots, key = _roots(self.side, start, lo, hi), across.tobytes()
+        key = (_roots(self.side, start, float(targets[0]), float(targets[-1])), across.tobytes())
         lines = self.kept.pop(key, None)
-        if lines is None or not lines.serves(roots, lo, hi):
-            lines = _certify_lines(self.phi, self.axis, roots, start, lo, hi, across)
+        if lines is None:
+            lines = _certify_lines(self.phi, self.axis, key[0], start, across)
         self.kept[key] = lines
         if len(self.kept) > _KEPT:
             del self.kept[next(iter(self.kept))]

@@ -993,20 +993,63 @@ def test_kept_line_sets_answer_other_targets_without_evaluating(monkeypatch):
 
 
 @pytest.mark.parametrize("span", ["past", "short"])
-def test_a_span_past_or_short_of_the_kept_panels_recertifies(span, monkeypatch):
-    """A leaf asked on the rows of its mesh at the abscissae up to 1.5 keeps their
-    panels, certified for [0, 1.5].  On the same rows, the abscissae up to 3 reach
-    past them, and the nodes of [1.1, 1.6] leave out the panels left of the base:
-    both run their rounds again, as a round's K15 sums are one matrix product over
-    its panels, and give the bits of a fresh leaf."""
+def test_a_span_past_or_short_of_the_kept_panels_is_served(span, monkeypatch):
+    """A leaf asked on the rows of its mesh at the abscissae up to 1.5 certifies
+    their whole side, [0, 3].  On the same rows, the abscissae up to 3 and the
+    nodes of [1.1, 1.6], right of the base, evaluate no integrand point, and give
+    the bits of a fresh leaf."""
     A = _off_corner_antiderivative()
     xs, ys = A.domain.axes()
     A(xs[:, :21], ys)
     points = _count_integrand(monkeypatch)
     x = xs if span == "past" else 1.1 + 0.25 * (np.sort(_K15_NODES)[None, :] + 1.0)
     values = A(x, ys)
-    assert sum(points) > 0
+    assert points == []
     assert np.array_equal(values, _off_corner_antiderivative()(x, ys))
+
+
+@given(which=st.integers(0, 1), x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(which=1, x=[0.5, 0.75, 1.0])  # right of the base only
+@example(which=0, x=[0.0, 0.2])  # left of the base only
+def test_a_sampled_leaf_serves_its_rows_at_any_abscissae(which, x):
+    """A leaf, or the leaf that nests it, sampled on its mesh keeps the certification
+    of the mesh rows over their whole side.  Asked on those rows at any sorted,
+    distinct abscissae of the side, it evaluates no integrand point and gives the
+    bits of a fresh leaf, built without the gates that sample it, asked the same way."""
+    leaf = _inner_and_outer()[which]
+    leaf.sample()
+    x, (_, ys) = np.array(sorted(x))[None, :], leaf.domain.axes()
+    with mock.patch.object(quadrature, "_integrand", side_effect=AssertionError("evaluated")):
+        values = leaf(x, ys)
+    with mock.patch.object(quadrature, "compatibility_check", lambda Phi: 0.0):
+        fresh = _inner_and_outer()[which]
+    assert np.array_equal(values, fresh(x, ys))
+
+
+def test_a_nested_level_reuses_the_lines_it_was_asked_on(monkeypatch):
+    """The leaf that nests another asks it on the mesh rows at the nodes of its own
+    panels, and then from its base column.  The inner leaf certifies those rows over
+    their whole side once: the outer sample takes 4,950 integrand points in 4
+    evaluations (7,410 in 7 when each span was certified on its own), and the inner
+    leaf's own sample afterwards evaluates nothing."""
+    inner, outer = _inner_and_outer()
+    points = _count_integrand(monkeypatch)
+    outer.sample()
+    assert (sum(points), len(points)) == (4950, 4)
+    points.clear()
+    inner.sample()
+    assert points == []
+
+
+def test_a_tensor_grid_request_certifies_the_whole_side(unit_square):
+    """Rows are certified over their whole side whatever their targets, so an
+    integrand that no panel resolves on [0.9, 1] raises for abscissae up to 0.5,
+    as a mesh sample of those rows does; a lone point keeps its own span and reads 0."""
+    leaf = _leaf_of(lambda x, y: np.sin(1e7 * np.maximum(x - 0.9, 0.0)) + 0.0 * y, unit_square)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        leaf(np.array([[0.1, 0.3, 0.5]]), np.array([[0.2], [0.5], [0.8]]))
+    assert leaf.evaluate(Point(0.5, 0.5)) == 0.0
 
 
 def test_a_leaf_keeps_its_latest_line_sets(monkeypatch):
